@@ -25,7 +25,7 @@ namespace pcd::apps {
 /// Hook points for INTERNAL DVS control, mirroring where API calls are
 /// inserted in the paper's source listings.
 struct DvsHooks {
-  using Fn = std::function<void(mpi::CommBase&, int rank)>;
+  using Fn = std::function<void(mpi::Comm&, int rank)>;
   /// Called once per rank at MPI_Init time (heterogeneous per-rank speeds,
   /// Figure 13).
   Fn at_start;
@@ -44,7 +44,7 @@ struct DvsHooks {
 
 /// Shared context handed to every rank process.
 struct AppContext {
-  mpi::CommBase* comm = nullptr;
+  mpi::Comm* comm = nullptr;
   trace::Tracer* tracer = nullptr;
   const DvsHooks* hooks = nullptr;
   /// Compute phases are sliced into chunks of roughly this duration so the

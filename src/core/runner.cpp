@@ -164,24 +164,6 @@ std::vector<ConfigIssue> RunConfig::validate() const {
        net::Network::validate_params(cluster.network, "cluster.network")) {
     issues.push_back({field, message});
   }
-  if (shards <= 0) {
-    issues.push_back({"shards", "shard count must be positive, got " +
-                                    std::to_string(shards)});
-  } else if (shards > 1) {
-    // The sharded path carries the full observation stack: every collector
-    // (trace, profile, meters, telemetry, faults, digests, flight recorder)
-    // is instantiated per shard and merged deterministically at run end
-    // (DESIGN.md §3.14).  The one residual single-engine assumption is
-    // focused per-event capture / seq perturbation: dispatch ordinals are
-    // per-shard, so a machine-wide capture window is not definable.
-    if (determinism.capture() || determinism.perturb_seq != 0) {
-      issues.push_back({"determinism",
-                        "focused per-event capture and seq perturbation are "
-                        "not supported with shards > 1 (dispatch ordinals "
-                        "are per-shard); digests and the flight recorder "
-                        "shard fine"});
-    }
-  }
   return issues;
 }
 
@@ -193,19 +175,9 @@ RunConfig RunConfigBuilder::build() const {
   return cfg_;
 }
 
-// sharded_runner.cpp — the N-shard driver behind RunConfig::shards.
-RunResult run_workload_sharded(const apps::Workload& workload,
-                               const RunConfig& config, int shards);
-
 RunResult run_workload(const apps::Workload& workload, const RunConfig& config) {
   if (auto issues = config.validate(); !issues.empty()) {
     throw std::invalid_argument("invalid RunConfig: " + describe(issues));
-  }
-  // Shards are clamped to the rank count; an effective count of 1 falls
-  // through to the classic single-engine path below, bit-identical to a
-  // config that never mentioned shards.
-  if (const int s = std::min(config.shards, workload.ranks); s > 1) {
-    return run_workload_sharded(workload, config, s);
   }
   sim::Engine engine;
 
@@ -547,10 +519,15 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
     cluster.baytech().stop_polling();
   }
 
+  // A run cancelled before its first event has an empty window; its
+  // utilization is 0, not 0/0.
+  const sim::SimDuration window = t_end - t_start;
   for (int i = 0; i < cluster.size(); ++i) {
     result.dvs_transitions += cluster.node(i).cpu().stats().transitions;
-    result.mean_utilization += cluster.node(i).cpu().busy_weighted_ns() /
-                               static_cast<double>(t_end - t_start) / cluster.size();
+    if (window > 0) {
+      result.mean_utilization += cluster.node(i).cpu().busy_weighted_ns() /
+                                 static_cast<double>(window) / cluster.size();
+    }
   }
   result.net_collisions = cluster.network().stats().collisions;
   result.messages = comm.stats().messages;

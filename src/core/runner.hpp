@@ -116,30 +116,6 @@ struct RunConfig {
   /// Compute-phase slice length (see AppContext).
   double slice_s = 0.050;
 
-  /// Parallel sharding (DESIGN.md §3.14).  1 (the default) runs the
-  /// single-engine path — bit-identical to every release before sharding
-  /// existed.  N > 1 partitions the cluster into N per-shard engines
-  /// advancing under conservative lookahead derived from
-  /// Network::min_latency(); results are deterministic across repetitions
-  /// at any fixed shard count, but event interleaving (and therefore digest
-  /// roots) legitimately differs between different shard counts.  The
-  /// effective count is clamped to the workload's rank count.
-  ///
-  /// The observation layers (trace/profile/meters/telemetry/faults/digest/
-  /// flight recorder) all work at shards > 1: each shard feeds its own
-  /// collector instances from its local engine, and the driver merges them
-  /// deterministically — stable (time, source shard, posting order) — after
-  /// global completion, so the merged snapshot, exports, profiler result,
-  /// and fault report are independent of the shard count that produced
-  /// them.  Per-shard provenance lives only in explicit views
-  /// (TelemetrySnapshot::shard_metrics, to_prometheus_sharded,
-  /// chrome_trace_sharded_json, RunCapture::shard_parts).  validate()
-  /// rejects non-positive values; the one residual single-engine-only
-  /// layer is per-event capture (determinism.capture_begin/end and
-  /// determinism.perturb_seq), which is tied to the global dispatch
-  /// sequence that sharded execution deliberately abandons.
-  int shards = 1;
-
   /// Checks the configuration for contradictions and returns every problem
   /// found (empty = valid).  `run_workload` calls this and refuses to start
   /// on a non-empty list, so a daemon+predictor conflict or a negative
@@ -225,15 +201,6 @@ class RunConfigBuilder {
   RunConfigBuilder& wall_deadline_s(double s) { cfg_.wall_deadline_s = s; return *this; }
   RunConfigBuilder& cluster(machine::ClusterConfig c) { cfg_.cluster = std::move(c); return *this; }
   RunConfigBuilder& slice_s(double s) { cfg_.slice_s = s; return *this; }
-  RunConfigBuilder& shards(int n) { cfg_.shards = n; return *this; }
-
-  /// Mutable access to the cluster/topology template, so call sites can
-  /// adjust node counts or network parameters without abandoning the fluent
-  /// chain:  RunConfigBuilder(base).shards(4).topology().nodes = 64;
-  /// followed by more setters via a fresh reference.  The const overload
-  /// supports inspection before build().
-  machine::ClusterConfig& topology() { return cfg_.cluster; }
-  const machine::ClusterConfig& topology() const { return cfg_.cluster; }
 
   /// The issues `build()` would throw on (empty = valid).
   std::vector<ConfigIssue> issues() const { return cfg_.validate(); }

@@ -39,7 +39,7 @@ namespace {
 
 // All INTERNAL hooks funnel through here so the decision log attributes
 // them uniformly (cause = Internal, detail = insertion-point label).
-void internal_set(mpi::CommBase& comm, int rank, int mhz, const char* insertion_point) {
+void internal_set(mpi::Comm& comm, int rank, int mhz, const char* insertion_point) {
   comm.node(rank).set_cpuspeed(mhz, telemetry::DvsCause::Internal,
                                std::numeric_limits<double>::quiet_NaN(),
                                insertion_point);
@@ -49,14 +49,14 @@ void internal_set(mpi::CommBase& comm, int rank, int mhz, const char* insertion_
 
 apps::DvsHooks internal_phase_hooks(int high_mhz, int low_mhz) {
   apps::DvsHooks h;
-  h.before_marked_comm = [low_mhz](mpi::CommBase& comm, int rank) {
+  h.before_marked_comm = [low_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, low_mhz, "before marked comm (Fig. 10)");
   };
-  h.after_marked_comm = [high_mhz](mpi::CommBase& comm, int rank) {
+  h.after_marked_comm = [high_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, high_mhz, "after marked comm (Fig. 10)");
   };
   // Start every rank at the high speed, like the paper's Figure 10 preamble.
-  h.at_start = [high_mhz](mpi::CommBase& comm, int rank) {
+  h.at_start = [high_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, high_mhz, "at start");
   };
   return h;
@@ -64,7 +64,7 @@ apps::DvsHooks internal_phase_hooks(int high_mhz, int low_mhz) {
 
 apps::DvsHooks internal_rank_speed_hooks(std::function<int(int)> mhz_of_rank) {
   apps::DvsHooks h;
-  h.at_start = [fn = std::move(mhz_of_rank)](mpi::CommBase& comm, int rank) {
+  h.at_start = [fn = std::move(mhz_of_rank)](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, fn(rank), "per-rank speed (Fig. 13)");
   };
   return h;
@@ -72,13 +72,13 @@ apps::DvsHooks internal_rank_speed_hooks(std::function<int(int)> mhz_of_rank) {
 
 apps::DvsHooks internal_comm_scaling_hooks(int high_mhz, int low_mhz) {
   apps::DvsHooks h;
-  h.at_start = [high_mhz](mpi::CommBase& comm, int rank) {
+  h.at_start = [high_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, high_mhz, "at start");
   };
-  h.before_any_comm = [low_mhz](mpi::CommBase& comm, int rank) {
+  h.before_any_comm = [low_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, low_mhz, "before any comm (rejected policy 1)");
   };
-  h.after_any_comm = [high_mhz](mpi::CommBase& comm, int rank) {
+  h.after_any_comm = [high_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, high_mhz, "after any comm (rejected policy 1)");
   };
   return h;
@@ -130,13 +130,13 @@ apps::DvsHooks hooks_for(const profiler::InternalSchedule& schedule) {
 
 apps::DvsHooks internal_wait_scaling_hooks(int high_mhz, int low_mhz) {
   apps::DvsHooks h;
-  h.at_start = [high_mhz](mpi::CommBase& comm, int rank) {
+  h.at_start = [high_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, high_mhz, "at start");
   };
-  h.before_wait = [low_mhz](mpi::CommBase& comm, int rank) {
+  h.before_wait = [low_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, low_mhz, "before wait (rejected policy 2)");
   };
-  h.after_wait = [high_mhz](mpi::CommBase& comm, int rank) {
+  h.after_wait = [high_mhz](mpi::Comm& comm, int rank) {
     internal_set(comm, rank, high_mhz, "after wait (rejected policy 2)");
   };
   return h;

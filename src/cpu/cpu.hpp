@@ -26,7 +26,7 @@
 
 #include "cpu/operating_point.hpp"
 #include "sim/callback.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -88,7 +88,7 @@ struct CpuStats {
 
 class Cpu {
  public:
-  Cpu(sim::Scheduler& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng);
+  Cpu(sim::Engine& engine, OperatingPointTable table, CpuConfig config, sim::Rng rng);
 
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -152,7 +152,7 @@ class Cpu {
   /// Requests arriving mid-transition coalesce to the latest target.
   void set_frequency_mhz(int freq_mhz);
 
-  sim::Scheduler& scheduler() const { return engine_; }
+  sim::Engine& engine() const { return engine_; }
   int frequency_mhz() const { return table_.get(op_index_).freq_mhz; }
   std::size_t op_index() const { return op_index_; }
   bool transitioning() const { return transitioning_; }
@@ -300,7 +300,7 @@ class Cpu {
         (dvs_stuck_ ? kMirrorDvsStuck : 0));
   }
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   OperatingPointTable table_;
   CpuConfig config_;
   sim::Rng rng_;

@@ -18,14 +18,11 @@ FaultInjector::FaultInjector(sim::Engine& engine, machine::Cluster& cluster,
 void FaultInjector::record(int node, const char* kind, telemetry::FaultPhase phase,
                            std::string detail) {
   const double t_s = sim::to_seconds(engine_.now());
-  // Report/telemetry entries carry the machine-wide node id (identity on a
-  // single-cluster run; plan.first[s] + node on a shard cluster).
-  const int id = node >= 0 ? cluster_.node(node).id() : node;
   if (report_ != nullptr) {
-    report_->record(t_s, id, kind, telemetry::to_string(phase), detail);
+    report_->record(t_s, node, kind, telemetry::to_string(phase), detail);
   }
   if (hub_ != nullptr) {
-    hub_->record_fault({engine_.now(), id, kind, phase, std::move(detail)});
+    hub_->record_fault({engine_.now(), node, kind, phase, std::move(detail)});
   }
 }
 
@@ -149,7 +146,7 @@ void FaultInjector::apply(const FaultEvent& e) {
       std::snprintf(buf, sizeof buf,
                     "bandwidth down to %.0f%%, collision boost +%.2f",
                     e.magnitude * 100.0, e.collision_boost);
-      if (!e.silent) record(-1, "nic_degrade", telemetry::FaultPhase::Injected, buf);
+      record(-1, "nic_degrade", telemetry::FaultPhase::Injected, buf);
       break;
     case FaultKind::LinkFlap:
       cluster_.network().set_link_up(e.node, false);
@@ -178,11 +175,9 @@ void FaultInjector::apply(const FaultEvent& e) {
         }
         cluster_.baytech().set_dropout(true);
       }
-      if (!e.silent) {
-        record(e.node, "sensor_dropout", telemetry::FaultPhase::Injected,
-               e.sensor == SensorMode::Stale ? "ACPI readings frozen"
-                                             : "ACPI readings garbage");
-      }
+      record(e.node, "sensor_dropout", telemetry::FaultPhase::Injected,
+             e.sensor == SensorMode::Stale ? "ACPI readings frozen"
+                                           : "ACPI readings garbage");
       break;
     }
     case FaultKind::DaemonWedge:
@@ -213,10 +208,8 @@ void FaultInjector::clear(const FaultEvent& e) {
     case FaultKind::NicDegrade:
       cluster_.network().set_bandwidth_factor(1.0);
       cluster_.network().set_collision_boost(0.0);
-      if (!e.silent) {
-        record(-1, "nic_degrade", telemetry::FaultPhase::Cleared,
-               "network back to nominal");
-      }
+      record(-1, "nic_degrade", telemetry::FaultPhase::Cleared,
+             "network back to nominal");
       break;
     case FaultKind::LinkFlap:
       cluster_.network().set_link_up(e.node, true);
@@ -232,10 +225,8 @@ void FaultInjector::clear(const FaultEvent& e) {
         }
         cluster_.baytech().set_dropout(false);
       }
-      if (!e.silent) {
-        record(e.node, "sensor_dropout", telemetry::FaultPhase::Cleared,
-               "sensor path healthy");
-      }
+      record(e.node, "sensor_dropout", telemetry::FaultPhase::Cleared,
+             "sensor path healthy");
       break;
     case FaultKind::NodeCrash:
     case FaultKind::BatteryFail:

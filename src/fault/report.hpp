@@ -59,12 +59,4 @@ struct FaultReport {
   std::string summary() const;
 };
 
-/// Merges per-shard reports of one sharded run (parts in shard order) into
-/// the machine-wide report: events stable-merged by (t_s, shard, posting
-/// order), counters and costs summed — except `checkpoints`, which every
-/// shard's lockstep checkpoint service counts once per global sweep, so
-/// the merge takes the max.  run_failed/failure fold left-to-right (first
-/// failure wins); flight recordings concatenate in shard order.
-FaultReport merge_reports(std::vector<FaultReport> parts);
-
 }  // namespace pcd::fault

@@ -13,8 +13,8 @@ Cluster::Cluster(sim::Engine& engine, const ClusterConfig& config)
   if (config.nodes <= 0) throw std::invalid_argument("cluster needs at least one node");
   nodes_.reserve(config.nodes);
   for (int i = 0; i < config.nodes; ++i) {
-    nodes_.push_back(std::make_unique<Node>(engine, config.first_node_id + i,
-                                            config.node, rng_.split(), &arena_, i));
+    nodes_.push_back(
+        std::make_unique<Node>(engine, i, config.node, rng_.split(), &arena_, i));
   }
   network_ = std::make_unique<net::Network>(
       engine, config.nodes, config.network, rng_.split(),

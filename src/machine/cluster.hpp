@@ -21,11 +21,6 @@ struct ClusterConfig {
   net::NetworkParams network;
   power::BaytechParams baytech;
   std::uint64_t seed = 0x5eed;
-  /// Global id of node 0.  A sharded run builds one Cluster per shard; the
-  /// shard's nodes carry their machine-wide ids (plan.first[s] + local), so
-  /// telemetry/fault/trace records name the same node regardless of shard
-  /// count.  Single-cluster runs leave this 0 and ids equal indices.
-  int first_node_id = 0;
 };
 
 class Cluster {

@@ -12,18 +12,19 @@ namespace pcd::mpi {
 namespace {
 
 bool envelope_matches(int want_src, int want_tag, int src, int tag) {
-  return (want_src == CommBase::kAnySource || want_src == src) &&
-         (want_tag == CommBase::kAnyTag || want_tag == tag);
+  return (want_src == Comm::kAnySource || want_src == src) &&
+         (want_tag == Comm::kAnyTag || want_tag == tag);
 }
 
 }  // namespace
 
 Comm::Comm(machine::Cluster& cluster, std::vector<int> node_ids, CostParams costs,
            trace::Tracer* tracer)
-    : CommBase(costs, tracer),
-      cluster_(cluster),
+    : cluster_(cluster),
       engine_(cluster.engine()),
-      node_ids_(std::move(node_ids)) {
+      node_ids_(std::move(node_ids)),
+      costs_(costs),
+      tracer_(tracer) {
   if (node_ids_.empty()) throw std::invalid_argument("communicator needs >= 1 rank");
   for (int id : node_ids_) {
     if (id < 0 || id >= cluster.size()) {
@@ -31,7 +32,7 @@ Comm::Comm(machine::Cluster& cluster, std::vector<int> node_ids, CostParams cost
     }
   }
   mailboxes_.resize(node_ids_.size());
-  init_ranks(size());
+  coll_seq_.assign(node_ids_.size(), 0);
 }
 
 void Comm::note_match(int src, int dst, int tag, std::int64_t bytes) {
@@ -43,11 +44,11 @@ void Comm::note_match(int src, int dst, int tag, std::int64_t bytes) {
   digest_->fold_record(rec, 5);
 }
 
-double CommBase::protocol_cycles(std::int64_t bytes) const {
+double Comm::protocol_cycles(std::int64_t bytes) const {
   return costs_.per_msg_cycles + costs_.per_kb_cycles * (static_cast<double>(bytes) / 1024.0);
 }
 
-double CommBase::speed_ratio(int rank) {
+double Comm::speed_ratio(int rank) {
   auto& cpu = node(rank).cpu();
   return static_cast<double>(cpu.frequency_mhz()) / cpu.table().highest().freq_mhz;
 }
@@ -60,7 +61,7 @@ sim::Process Comm::send_proc(int rank, int dst, int tag, std::int64_t bytes,
   // up to the first co_await synchronously).
   const std::int64_t log_seq =
       tracer_ != nullptr
-          ? tracer_->log_send(rank_base_ + rank, rank_base_ + dst, tag, bytes)
+          ? tracer_->log_send(rank, dst, tag, bytes)
           : -1;
   auto& cpu = node(rank).cpu();
   co_await cpu.run_commproc_cycles(protocol_cycles(bytes));
@@ -131,62 +132,62 @@ sim::Process Comm::recv_proc(int rank, int src, int tag, Request req) {
   req->done.set();
 }
 
-CommBase::Request Comm::isend(int rank, int dst, int tag, std::int64_t bytes) {
+Comm::Request Comm::isend(int rank, int dst, int tag, std::int64_t bytes) {
   assert(rank >= 0 && rank < size() && dst >= 0 && dst < size());
   auto req = std::allocate_shared<RequestState>(sim::PoolAllocator<RequestState>{}, engine_);
   sim::spawn(engine_, send_proc(rank, dst, tag, bytes, req));
   return req;
 }
 
-CommBase::Request Comm::irecv(int rank, int src, int tag) {
+Comm::Request Comm::irecv(int rank, int src, int tag) {
   assert(rank >= 0 && rank < size());
   auto req = std::allocate_shared<RequestState>(sim::PoolAllocator<RequestState>{}, engine_);
   sim::spawn(engine_, recv_proc(rank, src, tag, req));
   return req;
 }
 
-sim::Op<> CommBase::wait_inner(int rank, const Request& req) {
+sim::Op<> Comm::wait_inner(int rank, const Request& req) {
   if (!req->done.signaled()) {
     auto ws = node(rank).cpu().wait_scope();
     co_await req->done.wait();
   }
 }
 
-sim::Op<> CommBase::wait(int rank, Request req) {
+sim::Op<> Comm::wait(int rank, Request req) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) sc.emplace(tr->scope(rank, trace::Cat::Wait, "mpi_wait"));
+  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Wait, "mpi_wait"));
   co_await wait_inner(rank, req);
 }
 
-sim::Op<> CommBase::waitall(int rank, std::vector<Request> reqs) {
+sim::Op<> Comm::waitall(int rank, std::vector<Request> reqs) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) sc.emplace(tr->scope(rank, trace::Cat::Wait, "mpi_waitall"));
+  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Wait, "mpi_waitall"));
   for (auto& r : reqs) co_await wait_inner(rank, r);
 }
 
-sim::Op<> CommBase::send(int rank, int dst, int tag, std::int64_t bytes) {
+sim::Op<> Comm::send(int rank, int dst, int tag, std::int64_t bytes) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Send, "mpi_send", dst, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Send, "mpi_send", dst, bytes));
   }
   auto req = isend(rank, dst, tag, bytes);
   co_await wait_inner(rank, req);
 }
 
-sim::Op<std::int64_t> CommBase::recv(int rank, int src, int tag) {
+sim::Op<std::int64_t> Comm::recv(int rank, int src, int tag) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) sc.emplace(tr->scope(rank, trace::Cat::Recv, "mpi_recv", src));
+  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Recv, "mpi_recv", src));
   auto req = irecv(rank, src, tag);
   co_await wait_inner(rank, req);
   if (sc) sc->set_bytes(req->bytes);  // size known only once the send matched
   co_return req->bytes;
 }
 
-sim::Op<std::int64_t> CommBase::sendrecv(int rank, int dst, int send_tag,
+sim::Op<std::int64_t> Comm::sendrecv(int rank, int dst, int send_tag,
                                      std::int64_t send_bytes, int src, int recv_tag) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Send, "mpi_sendrecv", dst, send_bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Send, "mpi_sendrecv", dst, send_bytes));
   }
   auto rr = irecv(rank, src, recv_tag);
   auto sr = isend(rank, dst, send_tag, send_bytes);
@@ -206,14 +207,14 @@ int coll_tag(int seq, int round) {
 
 }  // namespace
 
-sim::Op<> CommBase::barrier(int rank) {
+sim::Op<> Comm::barrier(int rank) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_barrier"));
+  if (tracer_ != nullptr) sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_barrier"));
   co_await barrier_body(rank, seq);
 }
 
-sim::Op<> CommBase::barrier_body(int rank, int seq) {
+sim::Op<> Comm::barrier_body(int rank, int seq) {
   // Dissemination barrier: log2(P) rounds of token exchange.
   const int p = size();
   int round = 0;
@@ -227,16 +228,16 @@ sim::Op<> CommBase::barrier_body(int rank, int seq) {
   }
 }
 
-sim::Op<> CommBase::bcast(int rank, int root, std::int64_t bytes) {
+sim::Op<> Comm::bcast(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_bcast", root, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_bcast", root, bytes));
   }
   co_await bcast_body(rank, root, bytes, seq);
 }
 
-sim::Op<> CommBase::bcast_body(int rank, int root, std::int64_t bytes, int seq) {
+sim::Op<> Comm::bcast_body(int rank, int root, std::int64_t bytes, int seq) {
   // Binomial tree (MPICH-1 style).
   const int p = size();
   const int relative = (rank - root + p) % p;
@@ -261,16 +262,16 @@ sim::Op<> CommBase::bcast_body(int rank, int root, std::int64_t bytes, int seq) 
   }
 }
 
-sim::Op<> CommBase::reduce(int rank, int root, std::int64_t bytes) {
+sim::Op<> Comm::reduce(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_reduce", root, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_reduce", root, bytes));
   }
   co_await reduce_body(rank, root, bytes, seq);
 }
 
-sim::Op<> CommBase::reduce_body(int rank, int root, std::int64_t bytes, int seq) {
+sim::Op<> Comm::reduce_body(int rank, int root, std::int64_t bytes, int seq) {
   // Reverse binomial tree; leaves send first.
   const int p = size();
   const int relative = (rank - root + p) % p;
@@ -292,10 +293,10 @@ sim::Op<> CommBase::reduce_body(int rank, int root, std::int64_t bytes, int seq)
   }
 }
 
-sim::Op<> CommBase::allreduce(int rank, std::int64_t bytes) {
+sim::Op<> Comm::allreduce(int rank, std::int64_t bytes) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_allreduce", -1, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_allreduce", -1, bytes));
   }
   const int seq1 = next_coll_seq(rank);
   co_await reduce_body(rank, 0, bytes, seq1);
@@ -303,25 +304,25 @@ sim::Op<> CommBase::allreduce(int rank, std::int64_t bytes) {
   co_await bcast_body(rank, 0, bytes, seq2);
 }
 
-sim::Op<> CommBase::alltoall(int rank, std::int64_t bytes_per_pair) {
+sim::Op<> Comm::alltoall(int rank, std::int64_t bytes_per_pair) {
   std::vector<std::int64_t> sizes(size(), bytes_per_pair);
   sizes[rank] = 0;
   co_await alltoallv(rank, std::move(sizes));
 }
 
-sim::Op<> CommBase::alltoallv(int rank, std::vector<std::int64_t> bytes_to) {
+sim::Op<> Comm::alltoallv(int rank, std::vector<std::int64_t> bytes_to) {
   if (static_cast<int>(bytes_to.size()) != size()) {
     throw std::invalid_argument("alltoallv: bytes_to.size() != communicator size");
   }
   return alltoallv_body(rank, std::move(bytes_to), /*burst=*/false);
 }
 
-sim::Op<> CommBase::alltoallv_body(int rank, std::vector<std::int64_t> bytes_to,
+sim::Op<> Comm::alltoallv_body(int rank, std::vector<std::int64_t> bytes_to,
                                bool burst) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective,
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective,
                               burst ? "mpi_alltoallv" : "mpi_alltoall"));
   }
   const int p = size();
@@ -350,11 +351,11 @@ sim::Op<> CommBase::alltoallv_body(int rank, std::vector<std::int64_t> bytes_to,
   }
 }
 
-sim::Op<> CommBase::scatter(int rank, int root, std::int64_t bytes) {
+sim::Op<> Comm::scatter(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_scatter", root, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_scatter", root, bytes));
   }
   // Linear (MPICH-1): the root sends each rank its block.
   if (rank == root) {
@@ -370,11 +371,11 @@ sim::Op<> CommBase::scatter(int rank, int root, std::int64_t bytes) {
   }
 }
 
-sim::Op<> CommBase::gather(int rank, int root, std::int64_t bytes) {
+sim::Op<> Comm::gather(int rank, int root, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_gather", root, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_gather", root, bytes));
   }
   if (rank == root) {
     std::vector<Request> reqs;
@@ -389,10 +390,10 @@ sim::Op<> CommBase::gather(int rank, int root, std::int64_t bytes) {
   }
 }
 
-sim::Op<> CommBase::reduce_scatter(int rank, std::int64_t bytes_per_rank) {
+sim::Op<> Comm::reduce_scatter(int rank, std::int64_t bytes_per_rank) {
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_reduce_scatter", -1,
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_reduce_scatter", -1,
                               bytes_per_rank));
   }
   // MPICH-1 style: reduce the full vector to rank 0, then scatter blocks.
@@ -401,7 +402,7 @@ sim::Op<> CommBase::reduce_scatter(int rank, std::int64_t bytes_per_rank) {
   co_await scatter(rank, 0, bytes_per_rank);
 }
 
-sim::Op<> CommBase::alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to) {
+sim::Op<> Comm::alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to) {
   // Validate eagerly (a coroutine body would capture the throw in the
   // promise instead of raising it at the call site).
   if (static_cast<int>(bytes_to.size()) != size()) {
@@ -410,11 +411,11 @@ sim::Op<> CommBase::alltoallv_burst(int rank, std::vector<std::int64_t> bytes_to
   return alltoallv_body(rank, std::move(bytes_to), /*burst=*/true);
 }
 
-sim::Op<> CommBase::allgather(int rank, std::int64_t bytes) {
+sim::Op<> Comm::allgather(int rank, std::int64_t bytes) {
   const int seq = next_coll_seq(rank);
   std::optional<trace::Tracer::Scope> sc;
-  if (auto* tr = tracer_for(rank)) {
-    sc.emplace(tr->scope(rank, trace::Cat::Collective, "mpi_allgather", -1, bytes));
+  if (tracer_ != nullptr) {
+    sc.emplace(tracer_->scope(rank, trace::Cat::Collective, "mpi_allgather", -1, bytes));
   }
   // Ring algorithm: P-1 steps, passing blocks around.
   const int p = size();

@@ -15,15 +15,6 @@
 // pairwise-exchange alltoall/alltoallv, ring allgather.  Each rank must
 // call collectives in the same order (SPMD), which the tag sequencing
 // relies on.
-//
-// The layer splits transport from algorithm: CommBase owns everything
-// expressible over nonblocking point-to-point — the blocking wrappers,
-// MPI_Wait semantics, and every collective — against two pure-virtual
-// verbs, isend and irecv.  Comm is the classic single-engine transport
-// (mailbox matching on one shared engine); mpi::ShardedComm
-// (sharded_comm.hpp) is the cross-shard transport.  Application and
-// strategy code takes CommBase&, so workloads and INTERNAL hooks run
-// unchanged on either.
 #pragma once
 
 #include <cstdint>
@@ -49,14 +40,14 @@ struct CommStats {
   std::int64_t bytes = 0;
 };
 
-/// Transport-independent MPI surface: blocking wrappers and collectives
-/// composed over the derived class's isend/irecv.  All algorithm choices
-/// (dissemination barrier, binomial trees, pairwise exchange...) live
-/// here, so every transport exhibits the same traffic patterns.
-class CommBase {
+/// One communicator over a set of cluster nodes.  All ranks share the
+/// cluster's engine, and envelope matching is a direct mailbox rendezvous
+/// between sender and receiver coroutines.  The blocking wrappers and every
+/// collective are composed over isend/irecv.
+class Comm {
  public:
   struct RequestState {
-    explicit RequestState(sim::Scheduler& e) : done(e) {}
+    explicit RequestState(sim::Engine& e) : done(e) {}
     sim::Event done;
     std::int64_t bytes = 0;
   };
@@ -65,28 +56,33 @@ class CommBase {
   static constexpr int kAnySource = -1;
   static constexpr int kAnyTag = -1;
 
-  CommBase(const CommBase&) = delete;
-  CommBase& operator=(const CommBase&) = delete;
-  virtual ~CommBase() = default;
+  /// Creates a communicator over `ranks` nodes of the cluster; rank r runs
+  /// on cluster node `node_ids[r]`.
+  Comm(machine::Cluster& cluster, std::vector<int> node_ids, CostParams costs = {},
+       trace::Tracer* tracer = nullptr);
+  Comm(const Comm&) = delete;
+  Comm& operator=(const Comm&) = delete;
 
-  virtual int size() const = 0;
+  int size() const { return static_cast<int>(node_ids_.size()); }
   /// The machine node rank `rank` runs on.
-  virtual machine::Node& node(int rank) = 0;
-  virtual CommStats stats() const = 0;
+  machine::Node& node(int rank) { return cluster_.node(node_ids_.at(rank)); }
+  machine::Cluster& cluster() { return cluster_; }
+  CommStats stats() const { return stats_; }
   trace::Tracer* tracer() { return tracer_; }
-  /// Tracer receiving `rank`'s scope records.  Single-engine transports
-  /// return the one tracer; ShardedComm overrides this to return the
-  /// owning shard's tracer, so each worker thread only ever writes its own
-  /// shard's collector (per-shard collection, merged at end of run).
-  virtual trace::Tracer* tracer_for(int /*rank*/) { return tracer_; }
 
-  // ---- point-to-point (transport-specific) ----
+  /// Determinism observability: while set, every envelope match folds one
+  /// record (t, src, dst, tag, bytes) into the stream at the instant the
+  /// send meets its receive — the communication-order digest compared by
+  /// tools/pcd_diff.  Null (the default) is zero-cost.
+  void set_digest(sim::DigestStream* digest) { digest_ = digest; }
+
+  // ---- point-to-point ----
 
   /// Nonblocking send: protocol work + wire happen in the background; the
   /// returned request completes at delivery.  Tags must be < 2^20.
-  virtual Request isend(int rank, int dst, int tag, std::int64_t bytes) = 0;
+  Request isend(int rank, int dst, int tag, std::int64_t bytes);
   /// Nonblocking receive.
-  virtual Request irecv(int rank, int src = kAnySource, int tag = kAnyTag) = 0;
+  Request irecv(int rank, int src = kAnySource, int tag = kAnyTag);
 
   // ---- blocking wrappers ----
 
@@ -123,71 +119,9 @@ class CommBase {
   /// Reduce + scatter of the result (`bytes` per rank).
   sim::Op<> reduce_scatter(int rank, std::int64_t bytes_per_rank);
 
- protected:
-  CommBase(CostParams costs, trace::Tracer* tracer)
-      : costs_(costs), tracer_(tracer) {}
-
-  /// Wait without opening a trace scope (collective internals).
-  sim::Op<> wait_inner(int rank, const Request& req);
-
-  double protocol_cycles(std::int64_t bytes) const;
-  double speed_ratio(int rank);
-  /// Per-rank collective sequence numbers (tag disambiguation).  Derived
-  /// constructors must call init_ranks() once the rank count is known.
-  void init_ranks(int n) { coll_seq_.assign(static_cast<std::size_t>(n), 0); }
-  int next_coll_seq(int rank) { return coll_seq_.at(rank)++; }
-
-  CostParams costs_;
-  trace::Tracer* tracer_;
-  CommStats stats_;
-
- private:
-  // Collective bodies, parameterized by the per-call sequence number.
-  sim::Op<> barrier_body(int rank, int seq);
-  sim::Op<> bcast_body(int rank, int root, std::int64_t bytes, int seq);
-  sim::Op<> reduce_body(int rank, int root, std::int64_t bytes, int seq);
-  sim::Op<> alltoallv_body(int rank, std::vector<std::int64_t> bytes_to, bool burst);
-
-  std::vector<int> coll_seq_;
-};
-
-/// The single-engine transport: all ranks share one cluster/engine, and
-/// envelope matching is a direct mailbox rendezvous between sender and
-/// receiver coroutines.
-class Comm final : public CommBase {
- public:
-  /// Creates a communicator over `ranks` nodes of the cluster; rank r runs
-  /// on cluster node `node_ids[r]`.
-  Comm(machine::Cluster& cluster, std::vector<int> node_ids, CostParams costs = {},
-       trace::Tracer* tracer = nullptr);
-
-  int size() const override { return static_cast<int>(node_ids_.size()); }
-  machine::Node& node(int rank) override { return cluster_.node(node_ids_.at(rank)); }
-  machine::Cluster& cluster() { return cluster_; }
-  CommStats stats() const override { return stats_; }
-
-  /// Determinism observability: while set, every envelope match folds one
-  /// record (t, src, dst, tag, bytes) into the stream at the instant the
-  /// send meets its receive — the communication-order digest compared by
-  /// tools/pcd_diff.  Null (the default) is zero-cost.
-  void set_digest(sim::DigestStream* digest) { digest_ = digest; }
-
-  /// Sharded use: routes this (intra-shard) communicator's message log to
-  /// a per-shard tracer, with src/dst offset by `rank_base` so logged
-  /// edges carry machine-wide rank ids.  ShardedComm drives the inner
-  /// comms only through isend/irecv, so the blocking wrappers (which would
-  /// open scopes under local rank ids) never see this tracer.
-  void set_trace(trace::Tracer* tracer, int rank_base) {
-    tracer_ = tracer;
-    rank_base_ = rank_base;
-  }
-
-  Request isend(int rank, int dst, int tag, std::int64_t bytes) override;
-  Request irecv(int rank, int src = kAnySource, int tag = kAnyTag) override;
-
  private:
   struct SendMsg {
-    explicit SendMsg(sim::Scheduler& e) : recv_posted(e), delivered(e) {}
+    explicit SendMsg(sim::Engine& e) : recv_posted(e), delivered(e) {}
     int src = 0;
     int tag = 0;
     std::int64_t bytes = 0;
@@ -196,7 +130,7 @@ class Comm final : public CommBase {
     sim::Event delivered;
   };
   struct RecvPost {
-    explicit RecvPost(sim::Scheduler& e) : matched(e) {}
+    explicit RecvPost(sim::Engine& e) : matched(e) {}
     int src = kAnySource;
     int tag = kAnyTag;
     std::shared_ptr<SendMsg> msg;
@@ -211,12 +145,29 @@ class Comm final : public CommBase {
   sim::Process recv_proc(int rank, int src, int tag, Request req);
   void note_match(int src, int dst, int tag, std::int64_t bytes);
 
+  /// Wait without opening a trace scope (collective internals).
+  sim::Op<> wait_inner(int rank, const Request& req);
+
+  double protocol_cycles(std::int64_t bytes) const;
+  double speed_ratio(int rank);
+  /// Per-rank collective sequence numbers (tag disambiguation).
+  int next_coll_seq(int rank) { return coll_seq_.at(rank)++; }
+
+  // Collective bodies, parameterized by the per-call sequence number.
+  sim::Op<> barrier_body(int rank, int seq);
+  sim::Op<> bcast_body(int rank, int root, std::int64_t bytes, int seq);
+  sim::Op<> reduce_body(int rank, int root, std::int64_t bytes, int seq);
+  sim::Op<> alltoallv_body(int rank, std::vector<std::int64_t> bytes_to, bool burst);
+
   machine::Cluster& cluster_;
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   std::vector<int> node_ids_;
+  CostParams costs_;
+  trace::Tracer* tracer_;
+  CommStats stats_;
   sim::DigestStream* digest_ = nullptr;
-  int rank_base_ = 0;  // added to src/dst in message-log entries (set_trace)
   std::vector<Mailbox> mailboxes_;  // indexed by destination rank
+  std::vector<int> coll_seq_;
 };
 
 }  // namespace pcd::mpi

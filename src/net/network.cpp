@@ -6,7 +6,7 @@
 
 namespace pcd::net {
 
-Network::Network(sim::Scheduler& engine, int nodes, NetworkParams params, sim::Rng rng,
+Network::Network(sim::Engine& engine, int nodes, NetworkParams params, sim::Rng rng,
                  sim::InlineFunction<void(int, int)> nic_activity)
     : engine_(engine),
       params_(params),
@@ -29,10 +29,7 @@ std::vector<std::pair<std::string, std::string>> Network::validate_params(
     const NetworkParams& params, const std::string& prefix) {
   std::vector<std::pair<std::string, std::string>> issues;
   if (params.latency <= 0) {
-    issues.emplace_back(prefix + ".latency",
-                        "link latency must be strictly positive: a zero "
-                        "latency silently breaks conservative lookahead "
-                        "(min_latency() bounds cross-shard delivery)");
+    issues.emplace_back(prefix + ".latency", "link latency must be strictly positive");
   }
   if (!(params.bandwidth_mbps > 0)) {
     issues.emplace_back(prefix + ".bandwidth_mbps",

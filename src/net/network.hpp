@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "sim/callback.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -63,7 +63,7 @@ class Network {
  public:
   /// `nic_activity(node, delta)` is invoked with +1/-1 as transfers begin /
   /// end wire occupancy on a node (drives NIC power).  May be empty.
-  Network(sim::Scheduler& engine, int nodes, NetworkParams params, sim::Rng rng,
+  Network(sim::Engine& engine, int nodes, NetworkParams params, sim::Rng rng,
           sim::InlineFunction<void(int node, int delta)> nic_activity = {});
 
   Network(const Network&) = delete;
@@ -103,16 +103,6 @@ class Network {
   /// Wire time of an uncontended transfer (no queueing, no collision, at
   /// nominal — undegraded — bandwidth).
   sim::SimDuration uncontended_time(std::int64_t bytes) const;
-
-  /// Minimum latency over every link in the fabric.  Today all ports share
-  /// NetworkParams::latency, so this is that value; heterogeneous per-link
-  /// latencies must keep returning the fabric-wide minimum.  This bound is
-  /// load-bearing for sharding: no message posted at time t can be
-  /// delivered before t + min_latency(), which is exactly the conservative
-  /// lookahead window ShardedEngine advances shards by (DESIGN.md §3.14).
-  /// The constructor rejects non-positive latency — a zero here would
-  /// silently collapse the lookahead to nothing.
-  sim::SimDuration min_latency() const { return params_.latency; }
 
   /// Validates a parameter set the way the constructor does, but as
   /// structured issues (for RunConfig::validate): strictly positive latency
@@ -163,7 +153,7 @@ class Network {
   sim::Process transfer_proc(int src, int dst, std::int64_t bytes, double speed_ratio,
                              std::coroutine_handle<> h);
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   NetworkParams params_;
   sim::Rng rng_;
   sim::InlineFunction<void(int, int)> nic_activity_;

@@ -28,7 +28,7 @@ NodePowerParams NodePowerParams::pentium_iii_server() {
   return p;
 }
 
-NodePowerModel::NodePowerModel(sim::Scheduler& engine, cpu::Cpu& cpu,
+NodePowerModel::NodePowerModel(sim::Engine& engine, cpu::Cpu& cpu,
                                NodePowerParams params, NodeStateArena* arena,
                                int lane)
     : engine_(engine),
@@ -71,7 +71,7 @@ double NodePowerModel::lane_total() const {
 
 void NodePowerModel::note_step_slow() const {
   const std::uint64_t rec[3] = {static_cast<std::uint64_t>(node_id_),
-                                static_cast<std::uint64_t>(engine_.now_cached()),
+                                static_cast<std::uint64_t>(engine_.now()),
                                 std::bit_cast<std::uint64_t>(lane_total())};
   digest_->fold_record(rec, 3);
 }

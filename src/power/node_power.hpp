@@ -19,7 +19,7 @@
 #include "cpu/cpu.hpp"
 #include "power/cpu_power.hpp"
 #include "power/state_arena.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 
 namespace pcd::power {
 
@@ -62,7 +62,7 @@ class NodePowerModel {
  public:
   /// View over `lane` of `arena`; with arena == nullptr the model owns a
   /// private one-lane arena (standalone use keeps working unchanged).
-  NodePowerModel(sim::Scheduler& engine, cpu::Cpu& cpu, NodePowerParams params,
+  NodePowerModel(sim::Engine& engine, cpu::Cpu& cpu, NodePowerParams params,
                  NodeStateArena* arena = nullptr, int lane = 0);
   ~NodePowerModel();
 
@@ -109,7 +109,7 @@ class NodePowerModel {
  private:
   friend class NodeStateArena;
 
-  void accrue() const { arena_->accrue_lane(lane_, engine_.now_cached()); }
+  void accrue() const { arena_->accrue_lane(lane_, engine_.now()); }
   void note_step() const {
     if (digest_ != nullptr) note_step_slow();
   }
@@ -120,7 +120,7 @@ class NodePowerModel {
   void refresh_watts() const;
   double lane_total() const;
 
-  sim::Scheduler& engine_;
+  sim::Engine& engine_;
   cpu::Cpu& cpu_;
   NodePowerParams params_;
   CpuPowerModel cpu_model_;

@@ -94,13 +94,15 @@ bool SocketServer::start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The accept thread works on its own copy of the fd: stop() may not
+  // touch listen_fd_ concurrently, and closes it only after the join.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   return true;
 }
 
-void SocketServer::accept_loop() {
+void SocketServer::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listener closed (stop()) or fatal
@@ -215,12 +217,15 @@ void SocketServer::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // Shutting the listener down wakes the blocked accept(); the fd is
+  // closed only once the accept thread is gone, so its number cannot be
+  // reused under a still-running accept().
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);

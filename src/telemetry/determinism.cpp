@@ -30,24 +30,6 @@ std::uint64_t RunDigest::root() const {
   return r.hash;
 }
 
-RunDigest merge_digests(const std::vector<RunDigest>& parts) {
-  if (parts.empty()) return {};
-  if (parts.size() == 1) return parts.front();
-  RunDigest merged;
-  merged.checkpoint_every = parts.front().checkpoint_every;
-  for (int s = 0; s < RunDigest::kStreams; ++s) {
-    sim::DigestStream& m = merged.streams[s];
-    std::uint64_t total = 0;
-    for (const auto& p : parts) {
-      const std::uint64_t rec[2] = {p.streams[s].hash, p.streams[s].count};
-      m.fold_record(rec, 2);
-      total += p.streams[s].count;
-    }
-    m.count = total;
-  }
-  return merged;
-}
-
 std::string RunDigest::to_text() const {
   char buf[256];
   std::string out = "pcd-digest v1\n";
@@ -211,14 +193,7 @@ DeterminismCollector::DeterminismCollector(sim::Engine& engine,
   engine_.set_seq_perturbation(opts_.perturb_seq);
   prev_rng_digest_ = sim::RngTelemetry::digest;
   sim::RngTelemetry::digest = &digest_.streams[RunDigest::kRng];
-  rng_installed_ = true;
   attached_ = true;
-}
-
-void DeterminismCollector::release_rng() {
-  if (!rng_installed_) return;
-  rng_installed_ = false;
-  sim::RngTelemetry::digest = prev_rng_digest_;
 }
 
 void DeterminismCollector::detach() {
@@ -226,7 +201,7 @@ void DeterminismCollector::detach() {
   attached_ = false;
   engine_.clear_determinism();
   engine_.set_seq_perturbation(0);
-  release_rng();
+  sim::RngTelemetry::digest = prev_rng_digest_;
 }
 
 void DeterminismCollector::on_event(const sim::EventProvenance& p) {

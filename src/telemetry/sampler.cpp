@@ -6,7 +6,7 @@ namespace pcd::telemetry {
 
 TimeSeriesSampler::TimeSeriesSampler(sim::Engine& engine, int nodes,
                                      SamplerParams params, Probe probe,
-                                     MetricsRegistry* registry, int node_base)
+                                     MetricsRegistry* registry)
     : engine_(engine),
       params_(params),
       probe_(std::move(probe)),
@@ -19,7 +19,7 @@ TimeSeriesSampler::TimeSeriesSampler(sim::Engine& engine, int nodes,
     registry_->set_help("node_freq_mhz", "CPU operating frequency at the last sample");
     registry_->set_help("node_utilization", "Busy fraction of the CPU over the sample period");
     for (int i = 0; i < nodes; ++i) {
-      const Labels l = label("node", node_base + i);
+      const Labels l = label("node", i);
       g_power_.push_back(&registry_->gauge("node_power_watts", l));
       g_freq_.push_back(&registry_->gauge("node_freq_mhz", l));
       g_util_.push_back(&registry_->gauge("node_utilization", l));

@@ -1,8 +1,5 @@
 #include "telemetry/snapshot.hpp"
 
-#include <algorithm>
-#include <map>
-#include <utility>
 
 namespace pcd::telemetry {
 
@@ -30,78 +27,6 @@ TelemetrySnapshot make_snapshot(const Hub& hub, const TimeSeriesSampler* sampler
     }
   }
   return snap;
-}
-
-TelemetrySnapshot merge_snapshots(std::vector<TelemetrySnapshot> parts) {
-  if (parts.empty()) return {};
-  if (parts.size() == 1) return std::move(parts.front());
-
-  TelemetrySnapshot out;
-
-  // Metrics: group series across parts by (name, canonical label string),
-  // in the same (name, label_string) order MetricsRegistry::samples()
-  // emits, so the merged list is byte-compatible with a 1-shard registry.
-  std::map<std::pair<std::string, std::string>, MetricSample> merged;
-  for (const auto& part : parts) {
-    for (const auto& s : part.metrics) {
-      const auto key = std::make_pair(s.name, label_string(s.labels));
-      auto it = merged.find(key);
-      if (it == merged.end()) {
-        merged.emplace(key, s);
-        continue;
-      }
-      MetricSample& m = it->second;
-      if (m.help.empty()) m.help = s.help;
-      switch (s.type) {
-        case MetricType::Counter:
-          // Per-shard checkpoint services sweep the same global cadence:
-          // every shard counts the same sweep once, so summing would
-          // multiply by the shard count.
-          if (s.name == "checkpoints_total") {
-            m.value = std::max(m.value, s.value);
-          } else {
-            m.value += s.value;
-          }
-          break;
-        case MetricType::Gauge:
-          m.value = s.value;  // collisions keep the last part's reading
-          break;
-        case MetricType::Histogram:
-          m.value += s.value;
-          m.count += s.count;
-          for (std::size_t b = 0;
-               b < m.bucket_counts.size() && b < s.bucket_counts.size(); ++b) {
-            m.bucket_counts[b] += s.bucket_counts[b];
-          }
-          break;
-      }
-    }
-  }
-  out.metrics.reserve(merged.size());
-  for (auto& [key, sample] : merged) out.metrics.push_back(std::move(sample));
-
-  // Event logs: parts arrive in shard order with per-part entries already
-  // in posting order, so a stable sort by time realizes the global
-  // (time, source shard, posting order) order of the barrier drain.
-  for (auto& part : parts) {
-    out.decisions.insert(out.decisions.end(), part.decisions.begin(),
-                         part.decisions.end());
-    out.decisions_dropped += part.decisions_dropped;
-    out.transitions.insert(out.transitions.end(), part.transitions.begin(),
-                           part.transitions.end());
-    out.faults.insert(out.faults.end(), part.faults.begin(), part.faults.end());
-    for (auto& s : part.series) out.series.push_back(std::move(s));
-    if (out.sample_period_s == 0) out.sample_period_s = part.sample_period_s;
-  }
-  std::stable_sort(out.decisions.begin(), out.decisions.end(),
-                   [](const DvsDecision& a, const DvsDecision& b) { return a.t < b.t; });
-  std::stable_sort(
-      out.transitions.begin(), out.transitions.end(),
-      [](const DvsTransition& a, const DvsTransition& b) { return a.t < b.t; });
-  std::stable_sort(
-      out.faults.begin(), out.faults.end(),
-      [](const FaultLogEntry& a, const FaultLogEntry& b) { return a.t < b.t; });
-  return out;
 }
 
 }  // namespace pcd::telemetry

@@ -7,7 +7,6 @@
 // and balance across nodes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -180,16 +179,6 @@ class Tracer {
     messages_.push_back({src, dst, tag, bytes, engine_.now(), 0, 0});
     return static_cast<std::int64_t>(messages_.size()) - 1;
   }
-  /// Like log_send but with an explicit send timestamp: a cross-shard
-  /// message is logged by the *receiving* shard's tracer when the envelope
-  /// arrives, carrying the sender-side protocol-entry time captured on the
-  /// sending shard.
-  std::int64_t log_send_at(int src, int dst, int tag, std::int64_t bytes,
-                           sim::SimTime t_send) {
-    if (!enabled_) return -1;
-    messages_.push_back({src, dst, tag, bytes, t_send, 0, 0});
-    return static_cast<std::int64_t>(messages_.size()) - 1;
-  }
   void log_delivered(std::int64_t seq) {
     if (seq >= 0) messages_[static_cast<std::size_t>(seq)].t_delivered = engine_.now();
   }
@@ -207,34 +196,6 @@ class Tracer {
     for (auto& r : records_) r.clear();
     for (auto& m : iter_marks_) m.clear();
     messages_.clear();
-  }
-
-  /// Folds a per-shard tracer into this one (the end-of-run merge of a
-  /// sharded run, DESIGN.md §3.14).  Both tracers are sized to the total
-  /// rank count and each shard's tracer only ever writes its own ranks'
-  /// rows, so per-rank records and iteration marks concatenate without
-  /// reordering; messages concatenate in shard order — call
-  /// sort_messages() once after the last absorb to restore the global
-  /// (t_send, source shard, posting order) order.
-  void absorb(const Tracer& other) {
-    const std::size_t n = std::min(records_.size(), other.records_.size());
-    for (std::size_t r = 0; r < n; ++r) {
-      records_[r].insert(records_[r].end(), other.records_[r].begin(),
-                         other.records_[r].end());
-      iter_marks_[r].insert(iter_marks_[r].end(), other.iter_marks_[r].begin(),
-                            other.iter_marks_[r].end());
-    }
-    messages_.insert(messages_.end(), other.messages_.begin(),
-                     other.messages_.end());
-  }
-
-  /// Stable-sorts the message log by send time (absorb order breaks ties),
-  /// so merged cross-shard edges interleave deterministically.
-  void sort_messages() {
-    std::stable_sort(messages_.begin(), messages_.end(),
-                     [](const MessageEvent& a, const MessageEvent& b) {
-                       return a.t_send < b.t_send;
-                     });
   }
 
  private:

@@ -135,9 +135,9 @@ TEST(Workloads, InternalHooksFireAtPaperInsertionPoints) {
   // FT: before/after the marked all-to-all, once per iteration per rank.
   int before = 0, after = 0, at_start = 0;
   apps::DvsHooks hooks;
-  hooks.at_start = [&](mpi::CommBase&, int) { ++at_start; };
-  hooks.before_marked_comm = [&](mpi::CommBase&, int) { ++before; };
-  hooks.after_marked_comm = [&](mpi::CommBase&, int) { ++after; };
+  hooks.at_start = [&](mpi::Comm&, int) { ++at_start; };
+  hooks.before_marked_comm = [&](mpi::Comm&, int) { ++before; };
+  hooks.after_marked_comm = [&](mpi::Comm&, int) { ++after; };
   core::RunConfig cfg;
   cfg.hooks = hooks;
   auto ft = apps::make_ft(0.1);  // 2 iterations
@@ -151,7 +151,7 @@ TEST(Workloads, InternalHooksFireAtPaperInsertionPoints) {
 TEST(Workloads, WaitHooksFireForCg) {
   int waits = 0;
   apps::DvsHooks hooks;
-  hooks.before_wait = [&](mpi::CommBase&, int) { ++waits; };
+  hooks.before_wait = [&](mpi::Comm&, int) { ++waits; };
   core::RunConfig cfg;
   cfg.hooks = hooks;
   core::run_workload(apps::make_cg(0.01), cfg);

@@ -48,6 +48,12 @@ campaign::ExperimentSpec tiny_spec(int trials = 2) {
   return spec;
 }
 
+campaign::CampaignOptions with_threads(int threads) {
+  campaign::CampaignOptions o;
+  o.threads = threads;
+  return o;
+}
+
 }  // namespace
 
 // --- Spec expansion ---------------------------------------------------------
@@ -138,6 +144,25 @@ TEST(Validate, NegativeSliceAndFrequencyAreCaught) {
                std::invalid_argument);
 }
 
+TEST(Validate, NonPositiveNetworkLatencyIsCaught) {
+  core::RunConfig cfg;
+  cfg.cluster.network.latency = 0;
+  const auto issues = cfg.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues.front().field, "cluster.network.latency");
+}
+
+TEST(Runner, CancelledBeforeLaunchReportsZeroUtilization) {
+  // The flag is already up, so the run aborts with an empty window.
+  const std::atomic<bool> raised{true};
+  core::RunConfig cfg;
+  cfg.cancel = &raised;
+  const auto r = core::run_workload(apps::make_cg(0.1), cfg);
+  EXPECT_TRUE(r.failed);
+  EXPECT_EQ(r.delay_s, 0.0);
+  EXPECT_EQ(r.mean_utilization, 0.0);
+}
+
 TEST(Builder, BuildsValidConfigsAndThrowsOnContradiction) {
   const auto cfg = core::RunConfigBuilder()
                        .seed(42)
@@ -193,8 +218,8 @@ TEST(Pool, RethrowsFirstExceptionByIndexButFinishesAllItems) {
 
 TEST(Campaign, SerialAndParallelTablesAreByteIdentical) {
   const auto spec = tiny_spec(2);
-  campaign::CampaignOptions serial{.threads = 1};
-  campaign::CampaignOptions parallel{.threads = 8};
+  const auto serial = with_threads(1);
+  const auto parallel = with_threads(8);
   const auto a = campaign::CampaignRunner(serial).run(spec);
   const auto b = campaign::CampaignRunner(parallel).run(spec);
   EXPECT_EQ(a.tsv(), b.tsv());
@@ -220,8 +245,8 @@ TEST(Campaign, DeterministicUnderArmedFaultPlan) {
       .base(base)
       .axis(campaign::Axis::seeds({1, 2, 3}))
       .trials(2);
-  const auto a = campaign::run_campaign(spec, {.threads = 1});
-  const auto b = campaign::run_campaign(spec, {.threads = 8});
+  const auto a = campaign::run_campaign(spec, with_threads(1));
+  const auto b = campaign::run_campaign(spec, with_threads(8));
   EXPECT_EQ(a.tsv(), b.tsv());
 }
 
@@ -331,7 +356,7 @@ TEST(Sweeps, SweepStaticNormalizesAgainstHighestFrequency) {
 
 TEST(Sweeps, SweepOfRebuildsPerWorkloadCrescendo) {
   auto spec = tiny_spec(1);
-  const auto result = campaign::run_campaign(spec, {.threads = 1});
+  const auto result = campaign::run_campaign(spec, with_threads(1));
   const auto& label = spec.workload_entries().front().first;
   const auto sweep = campaign::sweep_of(result, label);
   ASSERT_EQ(sweep.points.size(), 2u);
@@ -347,7 +372,7 @@ TEST(Campaign, CapturesThrowingTrialsWithoutAbortingTheMatrix) {
   spec.workload(throwing_workload())
       .workload(apps::make_ep(kTinyScale))
       .trials(2);
-  const auto result = campaign::run_campaign(spec, {.threads = 4});
+  const auto result = campaign::run_campaign(spec, with_threads(4));
 
   const auto* bad = result.find("THROW");
   ASSERT_NE(bad, nullptr);
@@ -404,7 +429,7 @@ TEST(Campaign, ProgressCallbackSeesEveryRunAndFeedsTelemetry) {
 
 TEST(Result, FindAndNormalizedTo) {
   const auto spec = tiny_spec(1);
-  const auto result = campaign::run_campaign(spec, {.threads = 2});
+  const auto result = campaign::run_campaign(spec, with_threads(2));
   const auto& cg = spec.workload_entries().front().first;
 
   const auto* slow = result.find(cg, {"600"});

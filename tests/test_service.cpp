@@ -750,6 +750,29 @@ TEST(SocketServer, ServesPingStatsSubmitAndShutdownOverTheSocket) {
   EXPECT_FALSE(std::filesystem::exists(sock));
 }
 
+// stop() while the accept thread is blocked in accept(): the listener is
+// shut down, the thread joined, and only then the fd closed.  Under
+// ThreadSanitizer this is the reproducer for a stop()/accept() race on the
+// listener fd; in any build it checks that stop() returns and a server can
+// rebind the same path right after.
+TEST(SocketServer, StopWhileAcceptIsBlockedJoinsCleanly) {
+  const std::string sock = testing::TempDir() + "pcd_stop_" +
+                           std::to_string(::getpid()) + ".sock";
+  service::ServiceOptions opts;
+  opts.workers = 1;
+  service::CampaignService svc(opts);
+  for (int round = 0; round < 3; ++round) {
+    service::SocketServer server(svc, sock);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    auto ping = service::json_parse(round_trip_line(sock, "{\"op\":\"ping\"}"));
+    ASSERT_TRUE(ping.has_value());
+    EXPECT_TRUE(ping->bool_or("ok", false));
+    server.stop();
+    EXPECT_NE(::access(sock.c_str(), F_OK), 0) << "socket path left behind";
+  }
+}
+
 TEST(SocketServer, ResponseJsonCarriesTheRejectionEnvelope) {
   service::Response r;
   r.status = service::Status::Rejected;
