@@ -27,12 +27,12 @@ int main(int argc, char** argv) {
                                    .daemon(daemon)
                                    .build();
 
-  std::vector<std::pair<std::string, std::function<void(core::RunConfig&)>>> scenarios;
-  scenarios.emplace_back("daemon, healthy", [](core::RunConfig&) {});
-  scenarios.emplace_back("daemon, armed, no faults", [](core::RunConfig& c) {
-    c.faults.resilience.watchdog = true;
-    c.faults.resilience.mpi_timeout_s = 120;
-  });
+  std::vector<std::pair<std::string, std::function<void(core::RunConfig&)>>> scenarios{
+      {"daemon, healthy", [](core::RunConfig&) {}},
+      {"daemon, armed, no faults", [](core::RunConfig& c) {
+         c.faults.resilience.watchdog = true;
+         c.faults.resilience.mpi_timeout_s = 120;
+       }}};
   scenarios.emplace_back("straggler hazard", [](core::RunConfig& c) {
     fault::HazardModel hazard;
     hazard.kind = fault::FaultKind::Straggler;

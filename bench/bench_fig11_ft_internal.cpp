@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
                analysis::vs_paper(ed.energy, pe)});
   };
 
-  add("internal 1400/600", 1.00, 0.64);
+  const auto& paper_internal = analysis::figure11_ft().front().value;
+  add("internal 1400/600", paper_internal.delay, paper_internal.energy);
   const auto* ref = analysis::table2_row("FT");
   for (int f : bench::nemo_freqs()) {
     add("external " + std::to_string(f), ref ? ref->at.at(f).delay : -1,

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const auto& p = *result.profile;
   double wait_s = 0, comm_s = 0;
   for (const auto& r : p.ranks) {
-    wait_s += r.wait_s;
+    wait_s += r.at(trace::Cat::Wait).seconds;
     comm_s += r.comm_s();
   }
   double lower_ratio = 0, upper_ratio = 0;

@@ -51,8 +51,9 @@ int main(int argc, char** argv) {
                analysis::vs_paper(ed.energy, pe)});
   };
 
-  add("internal I  (1200/800)", 1.08, 0.77);
-  add("internal II (1000/800)", 1.08, 0.84);
+  const auto& paper = analysis::figure14_cg();
+  add("internal I  (1200/800)", paper.at(0).value.delay, paper.at(0).value.energy);
+  add("internal II (1000/800)", paper.at(1).value.delay, paper.at(1).value.energy);
   const auto* ref = analysis::table2_row("CG");
   for (int f : bench::nemo_freqs()) {
     add("external " + std::to_string(f), ref ? ref->at.at(f).delay : -1,

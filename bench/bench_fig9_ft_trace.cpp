@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
               p.comm_to_comp() > 1.5 && p.comm_to_comp() < 2.6 ? "[ok]" : "[off]");
   double coll = 0, comm = 0;
   for (const auto& r : p.ranks) {
-    coll += r.collective_s;
+    coll += r.at(trace::Cat::Collective).seconds;
     comm += r.comm_s();
   }
   std::printf("  2. all-to-all share of comm = %.0f%% (paper: dominant) %s\n",

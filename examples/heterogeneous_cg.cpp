@@ -1,10 +1,11 @@
 // Heterogeneous per-rank DVS from trace asymmetry (the paper's CG study,
-// §5.3.2): profile per-rank comm/comp ratios, derive per-rank speeds, and
-// check the result against homogeneous EXTERNAL settings.
+// §5.3.2): profile per-rank comm/comp ratios, let the profiler's advisor
+// derive per-rank speeds, and check the result against homogeneous
+// EXTERNAL settings.
 //
 // The comparison runs are one experiment campaign: CG x a "schedule"
-// strategy axis (two Figure-13 splits, the auto-derived per-rank speeds,
-// and a homogeneous external setting).
+// strategy axis (two Figure-13 splits, the advisor's schedule, and a
+// homogeneous external setting).
 #include <cstdio>
 #include <cstdlib>
 
@@ -12,6 +13,7 @@
 #include "campaign/runner.hpp"
 #include "core/runner.hpp"
 #include "core/strategies.hpp"
+#include "profiler/profiler.hpp"
 #include "trace/profile.hpp"
 
 using namespace pcd;
@@ -21,9 +23,8 @@ int main(int argc, char** argv) {
   auto cg = apps::make_cg(scale);
 
   // Profile: which ranks have slack (high comm-to-comp ratio)?
-  const core::RunConfig trace_cfg =
-      core::RunConfigBuilder().collect_trace(true).build();
-  const auto profiled = core::run_workload(cg, trace_cfg);
+  const core::RunConfig profile_cfg = core::RunConfigBuilder().profile().build();
+  const auto profiled = core::run_workload(cg, profile_cfg);
   const auto& p = *profiled.profile;
   std::printf("per-rank comm/comp ratios:\n");
   for (std::size_t r = 0; r < p.ranks.size(); ++r) {
@@ -31,12 +32,12 @@ int main(int argc, char** argv) {
                 p.ranks[r].comm_to_comp() > 1.0 ? "  <- apparent slack" : "");
   }
 
-  // Automatic selection from the profile (footnote 6 made systematic).
-  const auto auto_speeds = core::select_per_rank_speeds(
-      p, cpu::OperatingPointTable::pentium_m_1400());
-  std::printf("\nautomatic per-rank selection from slack:");
-  for (std::size_t r = 0; r < auto_speeds.size(); ++r) {
-    std::printf(" r%zu=%d", r, auto_speeds[r]);
+  // Automatic selection from the profile (footnote 6 made systematic):
+  // the advisor turns each rank's elastic wait into a slower speed.
+  const auto schedule = profiler::advise(*profiled.profiler);
+  std::printf("\nadvisor schedule (%s):", profiler::to_string(schedule.mode));
+  for (std::size_t r = 0; r < schedule.rank_mhz.size(); ++r) {
+    std::printf(" r%zu=%d", r, schedule.rank_mhz[r]);
   }
   std::printf("\n");
 
@@ -53,11 +54,8 @@ int main(int argc, char** argv) {
           "schedule",
           {{"internal I  (1200/800)", hetero(1200, 800)},
            {"internal II (1000/800)", hetero(1000, 800)},
-           {"auto per-rank",
-            [auto_speeds](core::RunConfig& c) {
-              c.hooks = core::internal_rank_speed_hooks(
-                  [auto_speeds](int rank) { return auto_speeds[rank]; });
-            }},
+           {"advisor per-rank",
+            [schedule](core::RunConfig& c) { c.hooks = core::hooks_for(schedule); }},
            {"external 800 (homog.)",
             [](core::RunConfig& c) { c.static_mhz = 800; }}}));
   const auto result = campaign::run_campaign(spec);

@@ -542,8 +542,8 @@ RunResult run_workload(const apps::Workload& workload, const RunConfig& config) 
     const auto& table = cluster.node(0).cpu().table();
     const int profile_mhz =
         config.static_mhz != 0 ? config.static_mhz : table.highest().freq_mhz;
-    result.profiler = profiler::profile(*tracer, table, profile_mhz, result.delay_s,
-                                        result.energy_j);
+    result.profiler = profiler::profile(*tracer, result.profile->ranks, table, profile_mhz,
+                                        result.delay_s, result.energy_j);
   }
 
   if (det != nullptr) {

@@ -84,33 +84,6 @@ apps::DvsHooks internal_comm_scaling_hooks(int high_mhz, int low_mhz) {
   return h;
 }
 
-std::vector<int> select_per_rank_speeds(const trace::TraceProfile& profile,
-                                        const cpu::OperatingPointTable& table,
-                                        double usable_slack) {
-  std::vector<int> speeds;
-  speeds.reserve(profile.ranks.size());
-  const int f_max = table.highest().freq_mhz;
-  for (const auto& rank : profile.ranks) {
-    const double busy = rank.comp_s() + rank.send_s + rank.recv_s;
-    const double wait = rank.wait_s + rank.collective_s;
-    if (busy <= 0) {
-      speeds.push_back(table.lowest().freq_mhz);
-      continue;
-    }
-    // Allowed busy-time stretch: extra <= usable_slack * wait.
-    const double max_stretch = 1.0 + usable_slack * wait / busy;
-    int chosen = f_max;
-    for (const auto& op : table.points()) {  // ascending
-      if (static_cast<double>(f_max) / op.freq_mhz <= max_stretch) {
-        chosen = op.freq_mhz;
-        break;
-      }
-    }
-    speeds.push_back(chosen);
-  }
-  return speeds;
-}
-
 apps::DvsHooks hooks_for(const profiler::InternalSchedule& schedule) {
   switch (schedule.mode) {
     case profiler::InternalSchedule::Mode::Phase:

@@ -59,15 +59,6 @@ apps::DvsHooks internal_comm_scaling_hooks(int high_mhz, int low_mhz);
 /// Rejected CG policy #2 (§5.3.2): scale down around every MPI_Wait.
 apps::DvsHooks internal_wait_scaling_hooks(int high_mhz, int low_mhz);
 
-/// Automatic heterogeneous selection (paper footnote 6: "different nodes
-/// at different speeds ... requires further profiling which is actually
-/// accomplished by the INTERNAL approach"): derive a per-rank frequency
-/// from a trace profile.  A rank may slow down until the projected stretch
-/// of its busy time fills `usable_slack` of its observed wait time.
-std::vector<int> select_per_rank_speeds(const trace::TraceProfile& profile,
-                                        const cpu::OperatingPointTable& table,
-                                        double usable_slack = 0.5);
-
 /// Closes the profile -> schedule loop: turn an advisor-derived
 /// InternalSchedule into the DvsHooks the paper's hand insertions would
 /// have produced (Phase -> internal_phase_hooks; PerRank ->

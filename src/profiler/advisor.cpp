@@ -136,7 +136,7 @@ InternalSchedule advise(const RunTrace& run, const EnergyAttribution& attr,
   double predicted_j = run.measured_energy_j - attr.scoped_j;  // unscoped part
   bool any_lower = false;
   for (std::size_t r = 0; r < attr.ranks.size(); ++r) {
-    const RankAttribution& ra = attr.ranks[r];
+    const trace::RankProfile& ra = attr.ranks[r];
     // Elastic wait the rank could spend running slower: blocked time in
     // waits/recvs plus the idle share of its collectives (collective
     // protocol cycles are part of ra.cycles and stretch too).

@@ -23,9 +23,9 @@ RunTrace capture(const trace::Tracer& tracer, const cpu::OperatingPointTable& ta
   return run;
 }
 
-EnergyAttribution attribute(const RunTrace& run) {
+EnergyAttribution attribute(const RunTrace& run, std::vector<trace::RankProfile> ranks) {
   EnergyAttribution out;
-  out.ranks.resize(static_cast<std::size_t>(run.ranks()));
+  out.ranks = std::move(ranks);
 
   // Label aggregation keyed by (label, category); per-rank partial sums
   // feed the max_rank_* fields.
@@ -37,18 +37,8 @@ EnergyAttribution attribute(const RunTrace& run) {
   std::map<std::pair<std::string, int>, LabelAccum> labels;
 
   for (int r = 0; r < run.ranks(); ++r) {
-    RankAttribution& ra = out.ranks[static_cast<std::size_t>(r)];
     for (const auto& rec : run.records[static_cast<std::size_t>(r)]) {
       const double dur = sim::to_seconds(rec.end - rec.begin);
-      auto& cat = ra.by_cat[static_cast<std::size_t>(rec.cat)];
-      cat.seconds += dur;
-      cat.joules += rec.energy_j;
-      cat.cpu_joules += rec.cpu_energy_j;
-      cat.cycles += rec.cycles;
-      ++cat.count;
-      ra.seconds += dur;
-      ra.joules += rec.energy_j;
-      ra.cycles += rec.cycles;
       out.scoped_j += rec.energy_j;
 
       auto& acc = labels[{rec.label, static_cast<int>(rec.cat)}];
@@ -92,14 +82,14 @@ EnergyAttribution attribute(const RunTrace& run) {
   return out;
 }
 
-ProfileResult profile(const trace::Tracer& tracer, const cpu::OperatingPointTable& table,
-                      int profile_mhz, double measured_delay_s,
-                      double measured_energy_j) {
+ProfileResult profile(const trace::Tracer& tracer, std::vector<trace::RankProfile> ranks,
+                      const cpu::OperatingPointTable& table, int profile_mhz,
+                      double measured_delay_s, double measured_energy_j) {
   ProfileResult prof;
   prof.run = capture(tracer, table, profile_mhz);
   prof.run.measured_delay_s = measured_delay_s;
   prof.run.measured_energy_j = measured_energy_j;
-  prof.attribution = attribute(prof.run);
+  prof.attribution = attribute(prof.run, std::move(ranks));
   prof.slack = analyze_slack(prof.run);
   return prof;
 }

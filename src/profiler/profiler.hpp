@@ -8,8 +8,9 @@
 //
 //   1. Attribution — every trace scope carries joules (node + CPU
 //      component) and the frequency-sensitive cycles retired inside it,
-//      sampled through trace::Tracer::Probe.  Aggregated per rank, per
-//      category, and per label.
+//      sampled through trace::Tracer::Probe.  Per rank and category the
+//      totals are trace::analyze's RankProfile; this module adds the
+//      per-label aggregation.
 //   2. Causality — the tracer's send→recv message log plus the per-rank
 //      scope sequence form a cross-rank event DAG.  A backward pass
 //      computes, for every scope, how much later it could have finished
@@ -29,6 +30,7 @@
 
 #include "cpu/operating_point.hpp"
 #include "sim/time.hpp"
+#include "trace/profile.hpp"
 #include "trace/tracer.hpp"
 
 namespace pcd::profiler {
@@ -57,25 +59,6 @@ RunTrace capture(const trace::Tracer& tracer, const cpu::OperatingPointTable& ta
 
 // ---- (1) energy attribution -------------------------------------------------
 
-struct CategoryAttribution {
-  double seconds = 0;
-  double joules = 0;      // node energy inside these scopes
-  double cpu_joules = 0;  // CPU component of that energy
-  double cycles = 0;      // frequency-sensitive cycles retired inside
-  int count = 0;
-};
-
-struct RankAttribution {
-  std::array<CategoryAttribution, 6> by_cat{};  // indexed by trace::Cat
-  double seconds = 0;  // total scoped time
-  double joules = 0;   // total scoped energy
-  double cycles = 0;
-
-  const CategoryAttribution& at(trace::Cat c) const {
-    return by_cat[static_cast<std::size_t>(c)];
-  }
-};
-
 /// Aggregation over every scope sharing a label (e.g. "mpi_alltoall").
 struct LabelAttribution {
   std::string label;
@@ -93,12 +76,14 @@ struct LabelAttribution {
 };
 
 struct EnergyAttribution {
-  std::vector<RankAttribution> ranks;
+  std::vector<trace::RankProfile> ranks;  // the run's trace::analyze totals
   std::vector<LabelAttribution> labels;  // sorted by joules, descending
   double scoped_j = 0;  // sum over scopes (<= measured run energy)
 };
 
-EnergyAttribution attribute(const RunTrace& run);
+/// Label aggregation over `run`'s records; the per-rank totals are the
+/// ones trace::analyze already computed for the same run.
+EnergyAttribution attribute(const RunTrace& run, std::vector<trace::RankProfile> ranks);
 
 // ---- (2) cross-rank critical path and slack ---------------------------------
 
@@ -176,10 +161,11 @@ struct ProfileResult {
   SlackAnalysis slack;
 };
 
-/// capture + attribute + analyze_slack in one call.
-ProfileResult profile(const trace::Tracer& tracer, const cpu::OperatingPointTable& table,
-                      int profile_mhz, double measured_delay_s,
-                      double measured_energy_j);
+/// capture + attribute + analyze_slack in one call; `ranks` is the run's
+/// trace::analyze(tracer).ranks.
+ProfileResult profile(const trace::Tracer& tracer, std::vector<trace::RankProfile> ranks,
+                      const cpu::OperatingPointTable& table, int profile_mhz,
+                      double measured_delay_s, double measured_energy_j);
 
 inline InternalSchedule advise(const ProfileResult& prof, const AdvisorOptions& opts = {}) {
   return advise(prof.run, prof.attribution, prof.slack, opts);

@@ -90,7 +90,7 @@ inline void* pool_alloc(std::size_t bytes) {
 #endif
 }
 
-inline void pool_free(void* ptr, std::size_t bytes) noexcept {
+inline void pool_free(void* ptr, [[maybe_unused]] std::size_t bytes) noexcept {
   if (ptr == nullptr) return;
 #ifdef PCD_FRAME_POOL_DISABLED
   ::operator delete(ptr);

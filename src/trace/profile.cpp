@@ -62,15 +62,16 @@ TraceProfile analyze(const Tracer& tracer) {
     RankProfile& rp = p.ranks[rank];
     for (const Record& rec : tracer.records(rank)) {
       const double dur = sim::to_seconds(rec.end - rec.begin);
-      rp.energy_j += rec.energy_j;
-      switch (rec.cat) {
-        case Cat::Compute: rp.compute_s += dur; break;
-        case Cat::MemStall: rp.memstall_s += dur; break;
-        case Cat::Send: rp.send_s += dur; ++rp.sends; rp.bytes_sent += rec.bytes; break;
-        case Cat::Recv: rp.recv_s += dur; ++rp.recvs; rp.bytes_received += rec.bytes; break;
-        case Cat::Wait: rp.wait_s += dur; ++rp.waits; break;
-        case Cat::Collective: rp.collective_s += dur; ++rp.collectives; break;
-      }
+      CategoryTotals& c = rp.at(rec.cat);
+      c.seconds += dur;
+      ++c.count;
+      c.joules += rec.energy_j;
+      c.cpu_joules += rec.cpu_energy_j;
+      c.cycles += rec.cycles;
+      c.bytes += rec.bytes;
+      rp.seconds += dur;
+      rp.joules += rec.energy_j;
+      rp.cycles += rec.cycles;
     }
   }
   if (tracer.ranks() > 0) {
@@ -154,10 +155,11 @@ std::string render_profile(const TraceProfile& p) {
     const RankProfile& r = p.ranks[i];
     std::snprintf(line, sizeof line,
                   "%-5zu %10.2f %10.2f %10.2f %10.2f %10.2f %8.2f %8d %11lld %11lld %9.2f\n",
-                  i, r.compute_s, r.memstall_s, r.send_s, r.recv_s, r.wait_s,
-                  r.collective_s, r.sends + r.recvs,
-                  static_cast<long long>(r.bytes_sent),
-                  static_cast<long long>(r.bytes_received), r.comm_to_comp());
+                  i, r.at(Cat::Compute).seconds, r.at(Cat::MemStall).seconds,
+                  r.at(Cat::Send).seconds, r.at(Cat::Recv).seconds, r.at(Cat::Wait).seconds,
+                  r.at(Cat::Collective).seconds, r.at(Cat::Send).count + r.at(Cat::Recv).count,
+                  static_cast<long long>(r.at(Cat::Send).bytes),
+                  static_cast<long long>(r.at(Cat::Recv).bytes), r.comm_to_comp());
     out += line;
   }
   std::snprintf(line, sizeof line,

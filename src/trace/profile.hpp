@@ -1,6 +1,9 @@
 // Profile extraction and text rendering for traces (Figures 9 and 12).
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,26 +11,34 @@
 
 namespace pcd::trace {
 
-/// Aggregated view of one rank's trace.
-struct RankProfile {
-  double compute_s = 0;   // on-chip compute
-  double memstall_s = 0;  // memory-bound phases
-  double send_s = 0;
-  double recv_s = 0;
-  double wait_s = 0;
-  double collective_s = 0;
-  int sends = 0;
-  int recvs = 0;
-  int waits = 0;
-  int collectives = 0;
-  std::int64_t bytes_sent = 0;
-  std::int64_t bytes_received = 0;
-  // Attributed energy over the rank's scopes; zero unless the trace was
-  // collected with an energy probe attached (RunConfig::profile).
-  double energy_j = 0;
+/// Totals of one rank's scopes in one category.
+struct CategoryTotals {
+  double seconds = 0;
+  int count = 0;
+  double joules = 0;      // node energy inside these scopes
+  double cpu_joules = 0;  // CPU component of that energy
+  double cycles = 0;      // frequency-sensitive cycles retired inside
+  std::int64_t bytes = 0;
+};
 
-  double comp_s() const { return compute_s + memstall_s; }
-  double comm_s() const { return send_s + recv_s + wait_s + collective_s; }
+/// Aggregated view of one rank's trace, computed once per traced run and
+/// shared with the profiler (profiler::EnergyAttribution::ranks).  Energy
+/// and cycles stay zero unless the trace was collected with an energy probe
+/// attached (RunConfig::profile).
+struct RankProfile {
+  std::array<CategoryTotals, 6> by_cat{};  // indexed by Cat
+  // Running totals over every scope, summed record by record.
+  double seconds = 0;
+  double joules = 0;
+  double cycles = 0;
+
+  CategoryTotals& at(Cat c) { return by_cat[static_cast<std::size_t>(c)]; }
+  const CategoryTotals& at(Cat c) const { return by_cat[static_cast<std::size_t>(c)]; }
+  double comp_s() const { return at(Cat::Compute).seconds + at(Cat::MemStall).seconds; }
+  double comm_s() const {
+    return at(Cat::Send).seconds + at(Cat::Recv).seconds + at(Cat::Wait).seconds +
+           at(Cat::Collective).seconds;
+  }
   /// The paper's communication-to-computation ratio.
   double comm_to_comp() const { return comp_s() > 0 ? comm_s() / comp_s() : 0.0; }
 };

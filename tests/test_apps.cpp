@@ -68,7 +68,7 @@ TEST(Workloads, FtMatchesFigure9Observations) {
   // 2. alltoall dominates communication.
   double coll = 0, comm = 0;
   for (const auto& rp : p.ranks) {
-    coll += rp.collective_s;
+    coll += rp.at(trace::Cat::Collective).seconds;
     comm += rp.comm_s();
   }
   EXPECT_GT(coll / comm, 0.8);
@@ -82,7 +82,7 @@ TEST(Workloads, CgMatchesFigure12Observations) {
   // Wait dominates communication.
   double wait = 0, comm = 0;
   for (const auto& rp : p.ranks) {
-    wait += rp.wait_s;
+    wait += rp.at(trace::Cat::Wait).seconds;
     comm += rp.comm_s();
   }
   EXPECT_GT(wait / comm, 0.5);
@@ -104,16 +104,19 @@ TEST(Workloads, EpIsComputeDominated) {
 TEST(Workloads, SwimIsMemoryBound) {
   const auto r = run_traced(apps::make_swim(0.2));
   const auto& p = *r.profile;
-  EXPECT_GT(p.ranks[0].memstall_s, 2.0 * p.ranks[0].compute_s);
+  EXPECT_GT(p.ranks[0].at(trace::Cat::MemStall).seconds,
+            2.0 * p.ranks[0].at(trace::Cat::Compute).seconds);
   EXPECT_DOUBLE_EQ(p.ranks[0].comm_s(), 0.0);
 }
 
 TEST(Workloads, MicrobenchmarkCharacters) {
   const auto cpu = run_traced(apps::make_micro_cpu_bound(0.2));
-  EXPECT_DOUBLE_EQ(cpu.profile->ranks[0].memstall_s, 0.0);
+  EXPECT_DOUBLE_EQ(cpu.profile->ranks[0].at(trace::Cat::MemStall).seconds, 0.0);
 
   const auto mem = run_traced(apps::make_micro_memory_bound(0.2));
-  EXPECT_GT(mem.profile->ranks[0].memstall_s, 5.0 * mem.profile->ranks[0].compute_s);
+  const auto& mem_rank = mem.profile->ranks[0];
+  EXPECT_GT(mem_rank.at(trace::Cat::MemStall).seconds,
+            5.0 * mem_rank.at(trace::Cat::Compute).seconds);
 
   const auto comm = run_traced(apps::make_micro_comm_bound(0.2));
   double total_comm = 0, total_comp = 0;

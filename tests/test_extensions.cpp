@@ -1,6 +1,6 @@
 // Tests for the extension modules: thermal/reliability model, the
-// phase-predictor daemon (future work §7), automatic heterogeneous
-// selection, trace export, and the additional MPI collectives.
+// phase-predictor daemon (future work §7), and the additional MPI
+// collectives.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,13 +9,11 @@
 #include "apps/npb.hpp"
 #include "core/predictor.hpp"
 #include "core/runner.hpp"
-#include "core/strategies.hpp"
 #include "machine/cluster.hpp"
 #include "mpi/comm.hpp"
 #include "power/thermal.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
-#include "trace/export.hpp"
 
 namespace sim = pcd::sim;
 using namespace pcd;
@@ -193,72 +191,6 @@ TEST(Predictor, SavesEnergyOnPhaseHeavyCode) {
   const auto pred = core::run_workload(ft, pred_cfg);
   EXPECT_LT(pred.energy_j / base.energy_j, 0.85);
   EXPECT_LT(pred.delay_s / base.delay_s, 1.08);
-}
-
-// ---- select_per_rank_speeds ---------------------------------------------------
-
-TEST(Heterogeneous, SlackyRanksGetLowerSpeeds) {
-  trace::TraceProfile p;
-  for (int r = 0; r < 4; ++r) {
-    trace::RankProfile rp;
-    rp.compute_s = 10.0;
-    rp.wait_s = (r >= 2) ? 20.0 : 0.5;  // ranks 2-3 mostly wait
-    p.ranks.push_back(rp);
-  }
-  const auto speeds = core::select_per_rank_speeds(
-      p, cpu::OperatingPointTable::pentium_m_1400());
-  EXPECT_EQ(speeds.size(), 4u);
-  EXPECT_EQ(speeds[0], 1400);
-  EXPECT_EQ(speeds[1], 1400);
-  // Stretch budget 1 + 0.5*(20/10) = 2.0: lowest point with 1400/f <= 2.0
-  // is 800 MHz (600 would stretch 2.33x, beyond the slack budget).
-  EXPECT_EQ(speeds[2], 800);
-  EXPECT_EQ(speeds[3], 800);
-}
-
-TEST(Heterogeneous, IdleRankGetsLowestSpeed) {
-  trace::TraceProfile p;
-  trace::RankProfile rp;  // no recorded busy time at all
-  p.ranks.push_back(rp);
-  const auto speeds = core::select_per_rank_speeds(
-      p, cpu::OperatingPointTable::pentium_m_1400());
-  EXPECT_EQ(speeds[0], 600);
-}
-
-// ---- trace export -------------------------------------------------------------
-
-TEST(TraceExport, CsvContainsHeaderAndRecords) {
-  sim::Engine e;
-  trace::Tracer t(e, 2);
-  e.schedule_at(0, [&] {
-    auto s = new trace::Tracer::Scope(t.scope(1, trace::Cat::Send, "mpi_send", 0, 512));
-    e.schedule_at(1000, [s] { delete s; });
-  });
-  e.run();
-  const auto csv = trace::export_csv(t);
-  EXPECT_NE(csv.find("rank,category,label"), std::string::npos);
-  EXPECT_NE(csv.find("1,Send,mpi_send,0,1000,1000,0,512"), std::string::npos);
-}
-
-TEST(TraceExport, HistogramBucketsDurations) {
-  sim::Engine e;
-  trace::Tracer t(e, 1);
-  auto add_scope = [&](sim::SimTime start, sim::SimDuration dur) {
-    e.schedule_at(start, [&t, &e, dur] {
-      auto s = new trace::Tracer::Scope(t.scope(0, trace::Cat::Wait, "w"));
-      e.schedule_in(dur, [s] { delete s; });
-    });
-  };
-  add_scope(0, 10 * sim::kMicrosecond);
-  add_scope(sim::kSecond, 10 * sim::kMicrosecond);
-  add_scope(2 * sim::kSecond, 10 * sim::kMillisecond);
-  e.run();
-  const auto h = trace::histogram(t, 0, trace::Cat::Wait);
-  EXPECT_EQ(h.total, 3);
-  EXPECT_NEAR(h.total_s, 2 * 10e-6 + 10e-3, 1e-9);
-  EXPECT_GT(h.typical_us(), 4.0);
-  EXPECT_LT(h.typical_us(), 40.0);
-  EXPECT_EQ(trace::histogram(t, 0, trace::Cat::Compute).total, 0);
 }
 
 // ---- additional MPI collectives -----------------------------------------------

@@ -7,11 +7,14 @@
 
 #include <cstdint>
 
+#include "analysis/advisor_report.hpp"
 #include "apps/npb.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "core/runner.hpp"
+#include "sim/provenance.hpp"
 #include "telemetry/determinism.hpp"
+#include "trace/profile.hpp"
 
 namespace pcd {
 namespace {
@@ -44,6 +47,38 @@ TEST(Golden, FtDigestRootAtScale01) {
 
 TEST(Golden, CgDigestRootAtScale01) {
   EXPECT_EQ(digest_root(apps::make_cg(0.1)), 0x4fefccceb3af4113ULL);
+}
+
+// The profiler path end to end: the per-rank trace table and the advisor
+// report of a profiled run print every per-rank, per-category and per-label
+// total the trace reduction computes.
+core::RunResult profiled(const apps::Workload& w) {
+  core::RunConfig cfg;
+  cfg.profile = true;
+  return core::run_workload(w, cfg);
+}
+
+std::uint64_t advisor_report_digest(const apps::Workload& w) {
+  const auto r = profiled(w);
+  EXPECT_TRUE(r.profiler.has_value());
+  if (!r.profiler) return 0;
+  return sim::digest_cstr(
+      analysis::advisor_report_text(*r.profiler, profiler::advise(*r.profiler)).c_str());
+}
+
+TEST(Golden, FtTraceProfileTableAtScale01) {
+  const auto r = profiled(apps::make_ft(0.1));
+  ASSERT_TRUE(r.profile.has_value());
+  EXPECT_EQ(sim::digest_cstr(trace::render_profile(*r.profile).c_str()),
+            0xaa4ff815d1c6f18aULL);
+}
+
+TEST(Golden, FtAdvisorReportAtScale01) {
+  EXPECT_EQ(advisor_report_digest(apps::make_ft(0.1)), 0x3dc8a9b4f06689f9ULL);
+}
+
+TEST(Golden, CgAdvisorReportAtScale01) {
+  EXPECT_EQ(advisor_report_digest(apps::make_cg(0.1)), 0x50b4e1a68efb53d8ULL);
 }
 
 }  // namespace

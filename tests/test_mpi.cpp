@@ -357,10 +357,10 @@ TEST(MpiTrace, BlockingCallsRecordScopes) {
   sim::spawn(engine, receiver());
   engine.run();
   auto profile = pcd::trace::analyze(tracer);
-  EXPECT_EQ(profile.ranks[0].sends, 1);
-  EXPECT_EQ(profile.ranks[1].recvs, 1);
-  EXPECT_GT(profile.ranks[0].send_s, 0);
-  EXPECT_GT(profile.ranks[1].recv_s, 0);
+  EXPECT_EQ(profile.ranks[0].at(pcd::trace::Cat::Send).count, 1);
+  EXPECT_EQ(profile.ranks[1].at(pcd::trace::Cat::Recv).count, 1);
+  EXPECT_GT(profile.ranks[0].at(pcd::trace::Cat::Send).seconds, 0);
+  EXPECT_GT(profile.ranks[1].at(pcd::trace::Cat::Recv).seconds, 0);
 }
 
 TEST(MpiTrace, CollectiveSuppressesNestedP2p) {
@@ -373,7 +373,7 @@ TEST(MpiTrace, CollectiveSuppressesNestedP2p) {
   engine.run();
   auto profile = pcd::trace::analyze(tracer);
   for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(profile.ranks[r].collectives, 1);
-    EXPECT_EQ(profile.ranks[r].waits, 0);  // nested waits suppressed
+    EXPECT_EQ(profile.ranks[r].at(pcd::trace::Cat::Collective).count, 1);
+    EXPECT_EQ(profile.ranks[r].at(pcd::trace::Cat::Wait).count, 0);  // nested waits suppressed
   }
 }

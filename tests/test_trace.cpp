@@ -1,11 +1,10 @@
-// Unit tests for the MPE-style tracer, profile analysis, and trace export.
+// Unit tests for the MPE-style tracer and profile analysis.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <utility>
 
 #include "sim/engine.hpp"
-#include "trace/export.hpp"
 #include "trace/profile.hpp"
 #include "trace/tracer.hpp"
 
@@ -141,18 +140,19 @@ TEST(Profile, AggregatesPerCategory) {
   });
   e.run();
   auto p = pcd::trace::analyze(t);
-  EXPECT_DOUBLE_EQ(p.ranks[0].compute_s, 3.0);
-  EXPECT_DOUBLE_EQ(p.ranks[1].wait_s, 1.0);
-  EXPECT_EQ(p.ranks[1].waits, 1);
+  EXPECT_DOUBLE_EQ(p.ranks[0].at(Cat::Compute).seconds, 3.0);
+  EXPECT_DOUBLE_EQ(p.ranks[1].at(Cat::Wait).seconds, 1.0);
+  EXPECT_EQ(p.ranks[1].at(Cat::Wait).count, 1);
+  EXPECT_DOUBLE_EQ(p.ranks[0].seconds, 3.0);
   EXPECT_DOUBLE_EQ(p.ranks[0].comm_s(), 0.0);
   EXPECT_GT(p.ranks[1].comm_s(), 0.0);
 }
 
 TEST(Profile, CommToCompRatio) {
   pcd::trace::RankProfile r;
-  r.compute_s = 1.0;
-  r.memstall_s = 1.0;
-  r.collective_s = 4.0;
+  r.at(Cat::Compute).seconds = 1.0;
+  r.at(Cat::MemStall).seconds = 1.0;
+  r.at(Cat::Collective).seconds = 4.0;
   EXPECT_DOUBLE_EQ(r.comm_to_comp(), 2.0);
 }
 
@@ -160,11 +160,11 @@ TEST(Profile, ImbalanceZeroWhenEqual) {
   pcd::trace::TraceProfile p;
   for (int i = 0; i < 4; ++i) {
     pcd::trace::RankProfile r;
-    r.compute_s = 5.0;
+    r.at(Cat::Compute).seconds = 5.0;
     p.ranks.push_back(r);
   }
   EXPECT_DOUBLE_EQ(p.imbalance(), 0.0);
-  p.ranks[0].compute_s = 10.0;  // mean 6.25, worst dev 3.75
+  p.ranks[0].at(Cat::Compute).seconds = 10.0;  // mean 6.25, worst dev 3.75
   EXPECT_NEAR(p.imbalance(), 3.75 / 6.25, 1e-12);
 }
 
@@ -200,70 +200,4 @@ TEST(Profile, RenderProfileContainsTotals) {
   const auto out = pcd::trace::render_profile(p);
   EXPECT_NE(out.find("comm/comp"), std::string::npos);
   EXPECT_NE(out.find("imbalance"), std::string::npos);
-}
-
-TEST(Export, CsvGoldenTinyScriptedRun) {
-  sim::Engine e;
-  Tracer t(e, 2);
-  e.schedule_at(0, [&] {
-    auto c = new Tracer::Scope(t.scope(0, Cat::Compute, "fft"));
-    e.schedule_at(1500, [c] { delete c; });
-  });
-  e.schedule_at(2000, [&] {
-    auto s = new Tracer::Scope(t.scope(1, Cat::Send, "p2p", /*peer=*/0,
-                                       /*bytes=*/4096));
-    e.schedule_at(2500, [s] { delete s; });
-  });
-  e.run();
-  const std::string expected =
-      "rank,category,label,begin_ns,end_ns,duration_ns,peer,bytes\n"
-      "0,Compute,fft,0,1500,1500,-1,0\n"
-      "1,Send,p2p,2000,2500,500,0,4096\n";
-  EXPECT_EQ(pcd::trace::export_csv(t), expected);
-}
-
-TEST(Export, HistogramBucketEdgesAtPowersOfTwoMicroseconds) {
-  sim::Engine e;
-  Tracer t(e, 1);
-  // Durations in ns; exact powers of two microseconds must land in the
-  // bucket they open ([2^k, 2^(k+1)) µs), and sub-µs durations in bucket 0.
-  const std::int64_t durations[] = {1000, 2000, 4000, 8000, 1999, 1};
-  sim::SimTime start = 0;
-  for (const std::int64_t dur : durations) {
-    e.schedule_at(start, [&t, &e, dur] {
-      auto s = new Tracer::Scope(t.scope(0, Cat::Collective, "a2a"));
-      e.schedule_at(e.now() + dur, [s] { delete s; });
-    });
-    start += dur + 10000;  // gap: comm scopes must not nest (suppression)
-  }
-  e.run();
-  const auto h = pcd::trace::histogram(t, 0, Cat::Collective);
-  EXPECT_EQ(h.total, 6);
-  ASSERT_EQ(h.bucket_counts.size(), 4u);
-  EXPECT_EQ(h.bucket_counts.at(0), 3);  // 1 µs, 1.999 µs, 1 ns
-  EXPECT_EQ(h.bucket_counts.at(1), 1);  // exactly 2 µs
-  EXPECT_EQ(h.bucket_counts.at(2), 1);  // exactly 4 µs
-  EXPECT_EQ(h.bucket_counts.at(3), 1);  // exactly 8 µs
-  EXPECT_NEAR(h.total_s, 17.0e-6, 1e-12);
-  EXPECT_DOUBLE_EQ(h.typical_us(), 1.5);  // median bucket 0, midpoint 1.5 µs
-}
-
-TEST(Export, HistogramFiltersByRankAndCategory) {
-  sim::Engine e;
-  Tracer t(e, 2);
-  e.schedule_at(0, [&] {
-    auto a = new Tracer::Scope(t.scope(0, Cat::Send, "s"));
-    e.schedule_at(3000, [a] { delete a; });
-    auto b = new Tracer::Scope(t.scope(1, Cat::Send, "s"));
-    e.schedule_at(5000, [b] { delete b; });
-  });
-  e.schedule_at(10000, [&] {
-    auto c = new Tracer::Scope(t.scope(0, Cat::Compute, "x"));
-    e.schedule_at(11000, [c] { delete c; });
-  });
-  e.run();
-  EXPECT_EQ(pcd::trace::histogram(t, 0, Cat::Send).total, 1);
-  EXPECT_EQ(pcd::trace::histogram(t, 1, Cat::Send).total, 1);
-  EXPECT_EQ(pcd::trace::histogram(t, 0, Cat::Collective).total, 0);
-  EXPECT_DOUBLE_EQ(pcd::trace::histogram(t, 1, Cat::Collective).typical_us(), 0);
 }
