@@ -162,7 +162,11 @@ std::string CampaignResult::table() const {
 
 std::string CampaignResult::tsv() const {
   std::string out = "workload";
-  for (const auto& a : axis_names) out += "\t" + a;
+  auto field = [&out](const std::string& s) {
+    out += '\t';
+    out += s;
+  };
+  for (const auto& a : axis_names) field(a);
   out +=
       "\ttrials\tfailures\tdelay_median\tdelay_q1\tdelay_q3\tdelay_min\tdelay_max"
       "\tdelay_mean\tenergy_median\tenergy_q1\tenergy_q3\tenergy_min\tenergy_max"
@@ -174,17 +178,17 @@ std::string CampaignResult::tsv() const {
   };
   for (const auto& c : cells) {
     out += c.workload;
-    for (const auto& l : c.labels) out += "\t" + l;
-    out += "\t" + std::to_string(c.runs);
-    out += "\t" + std::to_string(c.failures);
+    for (const auto& l : c.labels) field(l);
+    field(std::to_string(c.runs));
+    field(std::to_string(c.failures));
     for (double v : {c.delay.median, c.delay.q1, c.delay.q3, c.delay.min, c.delay.max,
                      c.delay.mean, c.energy.median, c.energy.q1, c.energy.q3,
                      c.energy.min, c.energy.max, c.energy.mean}) {
       hex(v);
     }
-    out += "\t" + std::to_string(c.result.dvs_transitions);
-    out += "\t" + std::to_string(c.result.net_collisions);
-    out += "\t" + std::to_string(c.result.messages);
+    field(std::to_string(c.result.dvs_transitions));
+    field(std::to_string(c.result.net_collisions));
+    field(std::to_string(c.result.messages));
     hex(c.result.mean_utilization);
     out += c.result.failed ? "\t1" : "\t0";
     out += "\t";

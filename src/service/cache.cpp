@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "service/json.hpp"
@@ -195,8 +194,8 @@ ResultCache::ResultCache(std::string dir, bool sync)
   if (dir_.empty()) return;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  recover();
-  log_fd_ = ::open(log_path().c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
+  log_fd_ = ::open(log_path().c_str(), O_RDWR | O_APPEND | O_CREAT, 0644);
+  if (log_fd_ >= 0) recover();
 }
 
 ResultCache::~ResultCache() {
@@ -211,6 +210,7 @@ ResultCache::~ResultCache() {
 namespace {
 struct Record {
   std::uint64_t key = 0;
+  std::uint64_t digest = 0;
   std::size_t payload_off = 0;
   std::size_t payload_len = 0;
 };
@@ -237,18 +237,33 @@ std::size_t parse_record(const std::string& log, std::size_t off, Record* rec,
   *framed = true;
   if (fnv1a(log.data() + payload_off, len) != digest) return 0;
   rec->key = key;
+  rec->digest = digest;
   rec->payload_off = payload_off;
   rec->payload_len = len;
   return end + 1 - off;
 }
+
+std::uint64_t file_size(int fd) {
+  struct stat st{};
+  return ::fstat(fd, &st) == 0 ? static_cast<std::uint64_t>(st.st_size) : 0;
+}
+
+// Reads exactly `out->size()` bytes at `off`; false on error or EOF.
+bool pread_exact(int fd, std::uint64_t off, std::string* out) {
+  std::size_t got = 0;
+  while (got < out->size()) {
+    const ssize_t n = ::pread(fd, out->data() + got, out->size() - got,
+                              static_cast<off_t>(off + got));
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
 }  // namespace
 
 void ResultCache::recover() {
-  std::ifstream in(log_path(), std::ios::binary);
-  if (!in) return;
-  const std::string log((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  in.close();
+  std::string log(file_size(log_fd_), '\0');
+  if (!pread_exact(log_fd_, 0, &log)) log.clear();  // unreadable: index nothing
   std::size_t pos = 0;
   while (pos < log.size()) {
     Record rec;
@@ -259,33 +274,57 @@ void ResultCache::recover() {
       // append-only, so bytes after an interrupted write prove nothing).
       if (framed) ++stats_.corrupt;
       stats_.torn_bytes = static_cast<std::int64_t>(log.size() - pos);
-      if (::truncate(log_path().c_str(),
-                     static_cast<off_t>(pos)) != 0) {
-        // Leave the file as-is; in-memory state is still only the verified
+      if (::ftruncate(log_fd_, static_cast<off_t>(pos)) != 0) {
+        // Leave the file as-is; the index still covers only the verified
         // prefix, and the next open re-truncates.
       }
       break;
     }
-    entries_[rec.key] = log.substr(rec.payload_off, rec.payload_len);
+    index_[rec.key] = Slot{rec.payload_off, rec.payload_len, rec.digest};
     pos += n;
   }
-  stats_.entries = static_cast<std::int64_t>(entries_.size());
+  // Appends land at the file's real end, which is past `pos` if the
+  // truncate failed.
+  log_size_ = file_size(log_fd_);
+  stats_.entries = static_cast<std::int64_t>(index_.size());
   stats_.recovered = stats_.entries;
 }
 
 std::optional<campaign::CellResult> ResultCache::lookup(std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
+  Slot slot;
+  std::string payload;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    slot = it->second;
+    // A concurrent insert may reallocate the in-memory log, so its bytes are
+    // copied under the lock; a log file is read after the lock is released.
+    if (log_fd_ < 0) payload.assign(mem_log_, slot.offset, slot.length);
   }
+  bool intact = true;
+  if (log_fd_ >= 0) {
+    payload.resize(slot.length);
+    intact = pread_exact(log_fd_, slot.offset, &payload);
+  }
+  intact = intact && fnv1a(payload.data(), payload.size()) == slot.digest;
   campaign::CellResult cell;
-  if (!decode(it->second, &cell)) {
-    // Verified-on-disk but undecodable (e.g. written by a newer codec):
-    // treat as a miss so the cell is recomputed and re-inserted.
-    entries_.erase(it);
-    stats_.entries = static_cast<std::int64_t>(entries_.size());
+  const bool decoded = intact && decode(payload, &cell);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!decoded) {
+    // Changed bytes, or a verified payload this codec cannot decode (e.g.
+    // written by a newer one): a miss, so the cell is recomputed and
+    // re-inserted.  An insert may have re-pointed the key meanwhile; only
+    // the slot that failed is dropped.
+    auto it = index_.find(key);
+    if (it != index_.end() && it->second == slot) {
+      index_.erase(it);
+      stats_.entries = static_cast<std::int64_t>(index_.size());
+    }
+    if (!intact) ++stats_.corrupt;
     ++stats_.misses;
     return std::nullopt;
   }
@@ -294,26 +333,40 @@ std::optional<campaign::CellResult> ResultCache::lookup(std::uint64_t key) {
 }
 
 void ResultCache::insert(std::uint64_t key, const campaign::CellResult& cell) {
-  std::string payload = encode(cell);
+  const std::string payload = encode(cell);
+  const std::uint64_t digest = fnv1a(payload.data(), payload.size());
+  char header[64];
+  const int hn = std::snprintf(header, sizeof header,
+                               "PCDC1 %016" PRIx64 " %zu %016" PRIx64 "\n",
+                               key, payload.size(), digest);
+  std::string record(header, static_cast<std::size_t>(hn));
+  record += payload;
+  record += '\n';
   std::lock_guard<std::mutex> lock(mu_);
+  std::uint64_t start = 0;
   if (log_fd_ >= 0) {
-    char header[64];
-    const int hn = std::snprintf(header, sizeof header,
-                                 "PCDC1 %016" PRIx64 " %zu %016" PRIx64 "\n",
-                                 key, payload.size(),
-                                 fnv1a(payload.data(), payload.size()));
-    std::string record(header, static_cast<std::size_t>(hn));
-    record += payload;
-    record += '\n';
     // One write so a crash can only tear the tail, then make it durable.
-    if (::write(log_fd_, record.data(), record.size()) ==
-            static_cast<ssize_t>(record.size()) &&
-        sync_) {
-      ::fsync(log_fd_);
+    if (::write(log_fd_, record.data(), record.size()) !=
+        static_cast<ssize_t>(record.size())) {
+      // A failed or short append (ENOSPC, EFBIG) must not leave a torn
+      // record mid-log: the next open would drop every record after it.
+      // Cut the log back and leave the key as it was, so the cell is
+      // recomputed.  Should the cut fail, later appends land past the torn
+      // bytes.
+      if (::ftruncate(log_fd_, static_cast<off_t>(log_size_)) != 0) {
+        log_size_ = file_size(log_fd_);
+      }
+      return;
     }
+    if (sync_) ::fsync(log_fd_);
+    start = log_size_;
+    log_size_ += record.size();
+  } else {
+    start = mem_log_.size();
+    mem_log_ += record;
   }
-  entries_[key] = std::move(payload);
-  stats_.entries = static_cast<std::int64_t>(entries_.size());
+  index_[key] = Slot{start + static_cast<std::uint64_t>(hn), payload.size(), digest};
+  stats_.entries = static_cast<std::int64_t>(index_.size());
   ++stats_.inserts;
 }
 

@@ -12,6 +12,12 @@
 // *tail*: recovery scans the log, keeps every verified record, and
 // truncates the file at the first malformed / short / digest-mismatched
 // byte.  Everything before that point is provably intact.
+//
+// In memory the cache keeps no payloads, only an index from key to where
+// the payload lives in the log (offset, length, digest).  A hit reads the
+// bytes back, re-checks the digest and decodes them outside the lock, so
+// memory does not grow with the payload bytes the log already holds.
+// Without a cache dir the same index points into an in-memory byte log.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +36,8 @@ struct CacheStats {
   std::int64_t misses = 0;
   std::int64_t inserts = 0;
   std::int64_t recovered = 0;  // live entries recovered from the log at open
-  std::int64_t corrupt = 0;    // framed records whose digest did not verify
+  std::int64_t corrupt = 0;    // framed records whose digest did not verify,
+                               // at open or when a hit read them back
   std::int64_t torn_bytes = 0; // bytes truncated off the log tail at open
 
   double hit_ratio() const {
@@ -51,10 +58,12 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Thread-safe.  A hit returns a decoded copy; hit/miss counters update.
+  /// Bytes that no longer match their digest are a miss, never a wrong cell.
   std::optional<campaign::CellResult> lookup(std::uint64_t key);
 
-  /// Thread-safe.  Overwrites an existing key in memory; the log append is
-  /// one write + fsync (last record wins at recovery).
+  /// Thread-safe.  Overwrites an existing key; the log append is one
+  /// write + fsync (last record wins at recovery).  A failed or short
+  /// append is cut back off the log and leaves the key as it was.
   void insert(std::uint64_t key, const campaign::CellResult& cell);
 
   /// Graceful-drain hook: fsyncs the log, the only durability point when
@@ -69,6 +78,14 @@ class ResultCache {
   static bool decode(const std::string& payload, campaign::CellResult* out);
 
  private:
+  // Where one verified payload lives in the log.
+  struct Slot {
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+    std::uint64_t digest = 0;  // FNV-1a of the payload bytes
+    bool operator==(const Slot&) const = default;
+  };
+
   void recover();
 
   std::string log_path() const { return dir_ + "/results.log"; }
@@ -76,8 +93,10 @@ class ResultCache {
   mutable std::mutex mu_;
   std::string dir_;
   bool sync_;
-  int log_fd_ = -1;
-  std::map<std::uint64_t, std::string> entries_;  // key -> encoded payload
+  int log_fd_ = -1;            // -1: no log file, records go to mem_log_
+  std::uint64_t log_size_ = 0; // end of the last intact append to log_fd_
+  std::string mem_log_;
+  std::map<std::uint64_t, Slot> index_;
   CacheStats stats_;
 };
 

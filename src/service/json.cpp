@@ -314,7 +314,12 @@ std::string JsonValue::write() const {
       }
       return buf;
     }
-    case Type::String: return "\"" + json_escape(str_) + "\"";
+    case Type::String: {
+      std::string out = "\"";
+      out += json_escape(str_);
+      out += '"';
+      return out;
+    }
     case Type::Array: {
       std::string out = "[";
       for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -328,7 +333,9 @@ std::string JsonValue::write() const {
       std::string out = "{";
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out += ",";
-        out += "\"" + json_escape(members_[i].first) + "\":";
+        out += '"';
+        out += json_escape(members_[i].first);
+        out += "\":";
         out += members_[i].second.write();
       }
       out += "}";
